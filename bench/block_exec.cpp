@@ -1,24 +1,23 @@
-// Superblock + trace engine throughput gates.
+// Superblock engine throughput gates.
 //
 // Every workload here runs on otherwise-identical machines differing only in
 // the execution engine configuration:
 //   reference — per-instruction stepping (decode cache on), the baseline;
-//   block     — the superblock engine (block_exec_enabled);
-//   trace     — superblocks chained into traces (trace_exec_enabled), with
-//               the fused interposer fast path and the all-nop sled superop.
+//   block     — the superblock engine (block_exec_enabled), including the
+//               all-nop superop that retires a sled block in O(1).
 // Three claims are enforced:
 //   (1) determinism — simulated cycles, retired instructions, machine steps
-//       and exit codes are bit-identical across all three configurations,
-//       for the straight-line workload, each interposition mechanism's micro
-//       loop (native / SUD / zpoline / lazypoline), and the Figure-5
-//       webserver under the same four mechanisms;
+//       and exit codes are bit-identical across both configurations, for the
+//       straight-line workload, each interposition mechanism's micro loop
+//       (native / SUD / zpoline / lazypoline), and the Figure-5 webserver
+//       under the same four mechanisms;
 //   (2) block throughput — the superblock engine runs the straight-line
 //       workload at least kBlockGate x faster than reference in host wall
 //       time (min-of-N to shed scheduler noise);
-//   (3) trace throughput — the trace engine runs the syscall-intensive
-//       webserver at least kTraceGate x faster than the block engine under
-//       zpoline and lazypoline, where each interposed syscall walks the
-//       VA-0 nop sled that the trace engine executes as an O(1) superop.
+//   (3) sled throughput — the superblock engine runs the syscall-intensive
+//       webserver at least kWebGate x faster than reference under zpoline
+//       and lazypoline, where each interposed syscall walks the VA-0 nop
+//       sled that block_step retires as one superop per nop block.
 // A fourth regression gate holds the SUD selector/stub page split: SUD must
 // not invalidate cached blocks any more than zpoline does (the selector byte
 // used to share the executable stub page, so every flip was an SMC event).
@@ -46,23 +45,14 @@ constexpr std::uint64_t kWebFileSize = 4'096;
 constexpr int kReps = 7;
 constexpr int kWebReps = 3;
 constexpr double kBlockGate = 1.5;
-constexpr double kTraceGate = 2.0;
-
-constexpr bool kTraceEngineBuilt =
-#ifdef LZP_TRACE_EXEC_DISABLED
-    false;
-#else
-    true;
-#endif
+constexpr double kWebGate = 5.0;
 
 struct EngineCfg {
   const char* name;
   bool block;
-  bool trace;
 };
-constexpr EngineCfg kReference{"reference", false, false};
-constexpr EngineCfg kBlock{"block", true, false};
-constexpr EngineCfg kTrace{"trace", true, true};
+constexpr EngineCfg kReference{"reference", false};
+constexpr EngineCfg kBlock{"block", true};
 
 // The throughput workload: a hot loop whose body is a long straight-line run
 // of arithmetic, so nearly every retired instruction is eligible for batched
@@ -94,7 +84,6 @@ struct RunResult {
   int exit_code = -1;
   cpu::BlockCacheStats bcache;
   cpu::DataTlbStats dtlb;
-  cpu::TraceCacheStats tcache;
 };
 
 RunResult run_config(const isa::Program& program, const EngineCfg& cfg,
@@ -104,7 +93,6 @@ RunResult run_config(const isa::Program& program, const EngineCfg& cfg,
     kern::Machine machine;
     machine.mmap_min_addr = 0;
     machine.block_exec_enabled = cfg.block;
-    machine.trace_exec_enabled = cfg.trace;
     machine.register_program(program);
     const kern::Tid tid = bench::unwrap(machine.load(program), "load");
     if (setup) setup(machine, tid);
@@ -126,14 +114,13 @@ RunResult run_config(const isa::Program& program, const EngineCfg& cfg,
     result.exit_code = machine.find_task(tid)->exit_code;
     result.bcache = machine.block_cache_totals();
     result.dtlb = machine.data_tlb_totals();
-    result.tcache = machine.trace_cache_totals();
   }
   return result;
 }
 
 // The Figure-5 single-worker webserver: 36 keepalive connections, kRequests
 // requests against a static file — the syscall-intensive macro workload the
-// trace gate is measured on.
+// sled gate is measured on.
 enum class Mech { kBaseline, kSud, kZpoline, kLazypoline };
 
 void install_mech(kern::Machine& machine, kern::Tid tid, Mech mech,
@@ -168,7 +155,6 @@ RunResult run_webserver(Mech mech, const EngineCfg& cfg) {
     kern::Machine machine;
     machine.mmap_min_addr = 0;
     machine.block_exec_enabled = cfg.block;
-    machine.trace_exec_enabled = cfg.trace;
     bench::check(machine.vfs().put_file_of_size("index.html", kWebFileSize),
                  "seed file");
 
@@ -208,7 +194,6 @@ RunResult run_webserver(Mech mech, const EngineCfg& cfg) {
     result.exit_code = machine.find_task(tid)->exit_code;
     result.bcache = machine.block_cache_totals();
     result.dtlb = machine.data_tlb_totals();
-    result.tcache = machine.trace_cache_totals();
   }
   return result;
 }
@@ -253,15 +238,6 @@ std::string result_json(const std::string& workload, const std::string& config,
       .add("bcache_invalidations", r.bcache.invalidations)
       .add("dtlb_read_hits", r.dtlb.read_hits)
       .add("dtlb_write_hits", r.dtlb.write_hits)
-      .add("tcache_hits", r.tcache.hits)
-      .add("tcache_traces_built", r.tcache.traces_built)
-      .add("tcache_chain_follows", r.tcache.chain_follows)
-      .add("tcache_side_exits", r.tcache.side_exits)
-      .add("tcache_completions", r.tcache.completions)
-      .add("tcache_resumes", r.tcache.resumes)
-      .add("tcache_demotions", r.tcache.demotions)
-      .add("tcache_invalidations", r.tcache.invalidations)
-      .add("tcache_fused_fastpaths", r.tcache.fused_fastpaths)
       .render();
 }
 
@@ -269,9 +245,7 @@ void add_row(metrics::Table& table, const std::string& workload,
              const EngineCfg& cfg, const RunResult& r, double speedup) {
   table.add_row({workload, cfg.name, format_double(r.wall_ms, 3),
                  metrics::ratio(speedup), std::to_string(r.cycles),
-                 std::to_string(r.insns),
-                 std::to_string(r.tcache.chain_follows),
-                 std::to_string(r.tcache.fused_fastpaths)});
+                 std::to_string(r.insns)});
 }
 
 }  // namespace
@@ -282,14 +256,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> results;
 
   metrics::Table table({"workload", "config", "wall ms (min)", "speedup",
-                        "sim cycles", "insns", "chains", "fused"});
+                        "sim cycles", "insns"});
 
   // --- straight-line throughput + block gate --------------------------------
   const auto program = make_straight_line(kStraightLineIters);
   const RunResult sl_ref = run_config(program, kReference, nullptr);
   const RunResult sl_blk = run_config(program, kBlock, nullptr);
-  const RunResult sl_trc = run_config(program, kTrace, nullptr);
-  require_identical("straight-line", {&sl_ref, &sl_blk, &sl_trc});
+  require_identical("straight-line", {&sl_ref, &sl_blk});
   if (sl_blk.bcache.hits == 0) {
     std::fprintf(stderr, "FAIL: engine-on run recorded no block-cache hits\n");
     return 1;
@@ -297,17 +270,13 @@ int main(int argc, char** argv) {
   const double block_speedup = sl_ref.wall_ms / sl_blk.wall_ms;
   add_row(table, "straight-line", kReference, sl_ref, 1.0);
   add_row(table, "straight-line", kBlock, sl_blk, block_speedup);
-  add_row(table, "straight-line", kTrace, sl_trc,
-          sl_ref.wall_ms / sl_trc.wall_ms);
   results.push_back(result_json("straight-line", "reference", sl_ref, 1.0));
   results.push_back(
       result_json("straight-line", "block", sl_blk, block_speedup));
-  results.push_back(result_json("straight-line", "trace", sl_trc,
-                                sl_ref.wall_ms / sl_trc.wall_ms));
 
   // --- per-mechanism micro-loop determinism ---------------------------------
   // The interposed paths bounce through host code and signals, exercising the
-  // engines' fallback edges; each must be cycle-identical across all three
+  // engine's fallback edges; each must be cycle-identical across both
   // configurations.
   const auto micro = bench::make_micro_loop(kMicroIters);
   auto dummy = std::make_shared<interpose::DummyHandler>();
@@ -324,22 +293,17 @@ int main(int argc, char** argv) {
   for (const auto& mechanism : mechanisms) {
     const RunResult m_ref = run_config(micro, kReference, mechanism.setup);
     const RunResult m_blk = run_config(micro, kBlock, mechanism.setup);
-    const RunResult m_trc = run_config(micro, kTrace, mechanism.setup);
-    require_identical(mechanism.name, {&m_ref, &m_blk, &m_trc});
+    require_identical(mechanism.name, {&m_ref, &m_blk});
     add_row(table, mechanism.name, kBlock, m_blk,
             m_ref.wall_ms / m_blk.wall_ms);
-    add_row(table, mechanism.name, kTrace, m_trc,
-            m_ref.wall_ms / m_trc.wall_ms);
     results.push_back(result_json(mechanism.name, "reference", m_ref, 1.0));
     results.push_back(result_json(mechanism.name, "block", m_blk,
                                   m_ref.wall_ms / m_blk.wall_ms));
-    results.push_back(result_json(mechanism.name, "trace", m_trc,
-                                  m_ref.wall_ms / m_trc.wall_ms));
   }
 
-  // --- webserver macro workload + trace gate --------------------------------
+  // --- webserver macro workload + sled gate ---------------------------------
   metrics::Table wtable({"workload", "config", "wall ms (min)", "speedup",
-                         "sim cycles", "insns", "chains", "fused"});
+                         "sim cycles", "insns"});
   const struct {
     const char* name;
     Mech mech;
@@ -347,27 +311,20 @@ int main(int argc, char** argv) {
                    {"web-sud", Mech::kSud},
                    {"web-zpoline", Mech::kZpoline},
                    {"web-lazypoline", Mech::kLazypoline}};
-  double trace_gate_min = 1e18;
+  double web_gate_min = 1e18;
   std::uint64_t sud_invalidations = 0;
   std::uint64_t zpoline_invalidations = 0;
-  std::uint64_t interposed_fused = 0;
   for (const auto& wm : web_mechs) {
     const RunResult w_ref = run_webserver(wm.mech, kReference);
     const RunResult w_blk = run_webserver(wm.mech, kBlock);
-    const RunResult w_trc = run_webserver(wm.mech, kTrace);
-    require_identical(wm.name, {&w_ref, &w_blk, &w_trc});
-    const double vs_ref = w_ref.wall_ms / w_trc.wall_ms;
-    const double vs_block = w_blk.wall_ms / w_trc.wall_ms;
+    require_identical(wm.name, {&w_ref, &w_blk});
+    const double vs_ref = w_ref.wall_ms / w_blk.wall_ms;
     add_row(wtable, wm.name, kReference, w_ref, 1.0);
-    add_row(wtable, wm.name, kBlock, w_blk, w_ref.wall_ms / w_blk.wall_ms);
-    add_row(wtable, wm.name, kTrace, w_trc, vs_ref);
+    add_row(wtable, wm.name, kBlock, w_blk, vs_ref);
     results.push_back(result_json(wm.name, "reference", w_ref, 1.0));
-    results.push_back(result_json(wm.name, "block", w_blk,
-                                  w_ref.wall_ms / w_blk.wall_ms));
-    results.push_back(result_json(wm.name, "trace", w_trc, vs_ref));
+    results.push_back(result_json(wm.name, "block", w_blk, vs_ref));
     if (wm.mech == Mech::kZpoline || wm.mech == Mech::kLazypoline) {
-      trace_gate_min = std::min(trace_gate_min, vs_block);
-      interposed_fused += w_trc.tcache.fused_fastpaths;
+      web_gate_min = std::min(web_gate_min, vs_ref);
     }
     if (wm.mech == Mech::kSud) sud_invalidations = w_blk.bcache.invalidations;
     if (wm.mech == Mech::kZpoline) {
@@ -404,29 +361,19 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(zpoline_invalidations));
     ok = false;
   }
-  if (kTraceEngineBuilt) {
-    if (trace_gate_min < kTraceGate) {
-      std::fprintf(stderr,
-                   "FAIL: trace engine %.3fx over block engine on the "
-                   "interposed webserver < %.2fx gate\n",
-                   trace_gate_min, kTraceGate);
-      ok = false;
-    }
-    if (interposed_fused == 0) {
-      std::fprintf(stderr,
-                   "FAIL: no fused interposer fast paths on the interposed "
-                   "webserver\n");
-      ok = false;
-    }
-  } else {
-    std::printf("SKIP: trace gates (built with -DLZP_TRACE_EXEC=OFF)\n");
+  if (web_gate_min < kWebGate) {
+    std::fprintf(stderr,
+                 "FAIL: superblock engine %.3fx over reference on the "
+                 "zpoline/lazypoline webserver < %.2fx gate\n",
+                 web_gate_min, kWebGate);
+    ok = false;
   }
   if (!ok) return 1;
   std::printf(
-      "PASS: straight-line block speedup %.3fx >= %.2fx, webserver trace "
-      "speedup %.3fx >= %.2fx over block, SUD invalidations at zpoline "
-      "level, all workloads cycle/step-identical across engines\n",
-      block_speedup, kBlockGate, kTraceEngineBuilt ? trace_gate_min : 0.0,
-      kTraceGate);
+      "PASS: straight-line block speedup %.3fx >= %.2fx, zpoline/lazypoline "
+      "webserver block speedup %.3fx >= %.2fx over reference, SUD "
+      "invalidations at zpoline level, all workloads cycle/step-identical "
+      "across engines\n",
+      block_speedup, kBlockGate, web_gate_min, kWebGate);
   return 0;
 }

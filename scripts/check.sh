@@ -1,13 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + ctest (with LZP_WERROR=ON so the tree must
-# be warning-clean), then an LZP_SANITIZE=ON build (which also exercises the
-# trace cache and chained execution under ASan — trace_exec_test runs in the
-# full suite), then an LZP_BLOCK_EXEC=OFF + LZP_SANITIZE=ON build (proves the
-# superblock engine compiles out cleanly and the per-instruction reference
-# path still passes the whole suite under ASan), then an LZP_TRACE_EXEC=OFF
-# + LZP_SANITIZE=ON build (the block engine without the trace tier: the
-# block/trace/profiler suites must pass with the trace engine compiled out),
-# then a clang-tidy leg (skipped when clang-tidy is not installed)
+# be warning-clean), then an LZP_SANITIZE=ON build, then an
+# LZP_BLOCK_EXEC=OFF + LZP_SANITIZE=ON build (proves the superblock engine
+# compiles out cleanly and the per-instruction reference path still passes
+# the whole suite under ASan), then a clang-tidy leg (skipped when clang-tidy is not installed)
 # failing on findings not in scripts/clang_tidy_baseline.txt, then the
 # static-analysis gate (examples/analyze --gate on the webserver workload:
 # fails if any verified-eager-rewritten site was not statically SAFE, or if
@@ -23,8 +19,9 @@
 # Tracer costs >2% wall time or an enabled one >15%, or if tracing perturbs
 # simulated cycles at all), then the block-exec bench (emits
 # BENCH_block_exec.json and fails if the superblock engine is <1.5x the
-# decode-cache baseline on straight-line code or perturbs simulated
-# cycles/steps on any workload), then the analysis-accuracy bench (emits
+# decode-cache baseline on straight-line code, <5x the reference path on the
+# zpoline/lazypoline webserver, or perturbs simulated cycles/steps on any
+# workload), then the analysis-accuracy bench (emits
 # BENCH_analysis.json and fails on any SAFE false positive or if the analyzer
 # is not strictly more precise than the raw byte scan), then the policy
 # enforcement bench (emits BENCH_policy.json and fails if lazypoline-based
@@ -83,15 +80,6 @@ if [[ "${run_sanitize}" == 1 ]]; then
     -DLZP_WERROR=ON >/dev/null
   cmake --build build-noblock -j"$(nproc)"
   ctest --test-dir build-noblock -j"$(nproc)" --output-on-failure
-
-  echo "== no-trace-engine build (LZP_TRACE_EXEC=OFF, LZP_SANITIZE=ON) =="
-  cmake -B build-notrace -S . -DLZP_TRACE_EXEC=OFF -DLZP_SANITIZE=ON \
-    -DLZP_WERROR=ON >/dev/null
-  cmake --build build-notrace -j"$(nproc)" --target \
-    block_exec_test trace_exec_test profile_test
-  ./build-notrace/tests/block_exec_test
-  ./build-notrace/tests/trace_exec_test
-  ./build-notrace/tests/profile_test
 
   echo "== thread-sanitizer build (LZP_SANITIZE=thread, SMP suites) =="
   cmake -B build-tsan -S . -DLZP_SANITIZE=thread -DLZP_WERROR=ON >/dev/null

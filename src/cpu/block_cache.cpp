@@ -126,7 +126,7 @@ void BlockCache::flush() noexcept {
 
 BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
                    const DecodedBlock& block, std::uint64_t budget,
-                   DataTlb* tlb, std::size_t first_insn) {
+                   DataTlb* tlb) {
   BlockRun run;
   // Snapshot the address space's code generation: a store inside this block
   // can rewrite a *later* instruction of the same block (WX self-modifying
@@ -134,8 +134,7 @@ BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
   // new bytes. Ending the run at the first generation bump forces a relookup,
   // which invalidates and rebuilds from the freshly written page.
   const std::uint64_t code_gen_at_entry = mem.code_gen();
-  for (std::size_t idx = first_insn; idx < block.insns.size(); ++idx) {
-    const isa::Instruction& insn = block.insns[idx];
+  for (const isa::Instruction& insn : block.insns) {
     if (run.executed >= budget) break;
     const std::uint64_t insn_addr = ctx.rip;
     const ExecResult result = exec_decoded(ctx, mem, insn, tlb);

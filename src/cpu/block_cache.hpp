@@ -61,7 +61,7 @@ struct DecodedBlock {
   std::uint64_t start = 0;
   std::uint64_t page_gen = 0;  // generation the block was decoded under
   std::uint32_t nops = 0;      // how many of insns are kNop (cost precompute)
-  std::uint32_t length = 0;    // total encoded bytes (trace engine nop superop)
+  std::uint32_t length = 0;    // total encoded bytes (block_step nop superop)
   std::vector<isa::Instruction> insns;
 };
 
@@ -138,17 +138,15 @@ struct BlockRun {
   const isa::Instruction* last = nullptr;  // the ending instruction itself
 };
 
-// Executes up to `budget` instructions of `block`, starting at instruction
-// index `first_insn` (ctx.rip must sit exactly on that instruction; the
-// trace engine uses a nonzero index to resume a block the slice quantum cut
-// mid-run). The budget is in *executed* instructions — exactly the machine
-// steps a per-instruction run would use, so slice boundaries land on
-// identical points with the engine on or off. Stops early at the first
-// non-kContinue outcome; the kSyscall terminator counts as retired (matching
-// step_once's accounting), while kHostCall/kHlt/kTrap and faults execute
-// without retiring.
+// Executes up to `budget` instructions of `block` from its first instruction
+// (ctx.rip must sit on block.start). The budget is in *executed*
+// instructions — exactly the machine steps a per-instruction run would use,
+// so slice boundaries land on identical points with the engine on or off.
+// Stops early at the first non-kContinue outcome; the kSyscall terminator
+// counts as retired (matching step_once's accounting), while
+// kHostCall/kHlt/kTrap and faults execute without retiring.
 BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
                    const DecodedBlock& block, std::uint64_t budget,
-                   DataTlb* tlb = nullptr, std::size_t first_insn = 0);
+                   DataTlb* tlb = nullptr);
 
 }  // namespace lzp::cpu

@@ -6,11 +6,16 @@
 //   * differential properties: engine on vs off must agree bit-for-bit on
 //     final architectural state, cycles, retired counts, and step counts —
 //     for random programs, interposed loops, and the multi-task webserver,
+//   * SMC mid-run and a 4-CPU shootdown during batched execution,
+//   * the nop-sled superop: slice by slice through zpoline's and
+//     lazypoline's sled, including budgets that end inside a nop block,
 //   * record/replay neutrality: traces recorded with the engine on and off
 //     are identical, and replay round trips survive an external kill.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,9 +30,11 @@
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
 #include "mechanisms/sud_tool.hpp"
+#include "profile/profiler.hpp"
 #include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "sim_test_util.hpp"
+#include "zpoline/zpoline.hpp"
 #ifndef LZP_TRACE_DISABLED
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
@@ -258,11 +265,9 @@ isa::Program make_random_program(std::uint64_t seed) {
       .value();
 }
 
-MachineOutcome run_native(const isa::Program& program, bool block_on,
-                          bool trace_on) {
+MachineOutcome run_native(const isa::Program& program, bool block_on) {
   kern::Machine machine;
   machine.block_exec_enabled = block_on;
-  machine.trace_exec_enabled = trace_on;
   kern::Tid tid = 0;
   MachineOutcome out;
   out.exit_code = testutil::load_and_run(machine, program, &tid);
@@ -283,18 +288,13 @@ TEST_P(BlockExecFuzzTest, RandomProgramsMatchReferencePathExactly) {
   for (int round = 0; round < 20; ++round) {
     const std::uint64_t seed = seeder.next();
     const isa::Program program = make_random_program(seed);
-    // Three-way: per-instruction reference, superblock engine, and the
-    // chained-trace engine on top must agree bit-for-bit.
-    const MachineOutcome ref = run_native(program, false, false);
-    const MachineOutcome block = run_native(program, true, false);
-    const MachineOutcome trace = run_native(program, true, true);
-    for (const MachineOutcome* out : {&block, &trace}) {
-      ASSERT_EQ(out->exit_code, ref.exit_code) << "seed " << seed;
-      ASSERT_EQ(out->cycles, ref.cycles) << "seed " << seed;
-      ASSERT_EQ(out->insns, ref.insns) << "seed " << seed;
-      ASSERT_EQ(out->steps, ref.steps) << "seed " << seed;
-      ASSERT_EQ(out->data, ref.data) << "seed " << seed;
-    }
+    const MachineOutcome ref = run_native(program, false);
+    const MachineOutcome block = run_native(program, true);
+    ASSERT_EQ(block.exit_code, ref.exit_code) << "seed " << seed;
+    ASSERT_EQ(block.cycles, ref.cycles) << "seed " << seed;
+    ASSERT_EQ(block.insns, ref.insns) << "seed " << seed;
+    ASSERT_EQ(block.steps, ref.steps) << "seed " << seed;
+    ASSERT_EQ(block.data, ref.data) << "seed " << seed;
   }
 }
 
@@ -351,10 +351,9 @@ TEST(BlockExecDifferentialTest, WebserverMatchesReferencePath) {
   constexpr int kWorkers = 2;
   const apps::ServerProfile profile = apps::nginx_profile();
 
-  auto run_with = [&](bool block_on, bool trace_on, std::string* metrics_out) {
+  auto run_with = [&](bool block_on, std::string* metrics_out) {
     kern::Machine machine;
     machine.block_exec_enabled = block_on;
-    machine.trace_exec_enabled = trace_on;
     machine.mmap_min_addr = 0;
 #ifndef LZP_TRACE_DISABLED
     trace::Tracer tracer;
@@ -407,7 +406,6 @@ TEST(BlockExecDifferentialTest, WebserverMatchesReferencePath) {
       while (std::getline(in, line)) {
         if (line.find("bcache.") != std::string::npos ||
             line.find("dcache.") != std::string::npos ||
-            line.find("tcache.") != std::string::npos ||
             line.find("ring.events") != std::string::npos) {
           continue;
         }
@@ -423,28 +421,230 @@ TEST(BlockExecDifferentialTest, WebserverMatchesReferencePath) {
 
   std::string metrics_ref;
   std::string metrics_block;
-  std::string metrics_trace;
-  const MachineOutcome ref = run_with(false, false, &metrics_ref);
-  const MachineOutcome block = run_with(true, false, &metrics_block);
-  const MachineOutcome trace = run_with(true, true, &metrics_trace);
-  for (const MachineOutcome* out : {&block, &trace}) {
-    EXPECT_EQ(out->cycles, ref.cycles);
-    EXPECT_EQ(out->insns, ref.insns);
-    EXPECT_EQ(out->steps, ref.steps);
-    EXPECT_EQ(out->data, ref.data);
-  }
+  const MachineOutcome ref = run_with(false, &metrics_ref);
+  const MachineOutcome block = run_with(true, &metrics_block);
+  EXPECT_EQ(block.cycles, ref.cycles);
+  EXPECT_EQ(block.insns, ref.insns);
+  EXPECT_EQ(block.steps, ref.steps);
+  EXPECT_EQ(block.data, ref.data);
   EXPECT_EQ(metrics_block, metrics_ref);
-  EXPECT_EQ(metrics_trace, metrics_ref);
+}
+
+// --- SMC and SMP shootdown under batched execution ----------------------------
+
+TEST(BlockExecSmcTest, SmcMidRunInvalidatesBlocksAndNewBytesExecute) {
+  // Loop body sets rdx to a marker immediate each iteration; the final exit
+  // code is rdx. Mid-run, the marker is patched from 0x11 to 0x22 with a
+  // privileged write (the runtime-rewrite path, bumping the page
+  // generation): the warm blocks on that page must drop, and the remaining
+  // iterations must run the new bytes — on both paths, at identical counts.
+  constexpr std::uint64_t kMarkerOld = 0x11;
+  constexpr std::uint64_t kMarkerNew = 0x22;
+  Assembler a;
+  const auto entry = a.new_label();
+  const auto loop = a.new_label();
+  const auto done = a.new_label();
+  a.bind(entry);
+  a.mov(Gpr::rbx, 3'000);
+  a.bind(loop);
+  a.cmp(Gpr::rbx, 0);
+  a.jz(done);
+  a.mov(Gpr::rdx, kMarkerOld);
+  for (int i = 0; i < 6; ++i) a.add(Gpr::rcx, 1);
+  a.sub(Gpr::rbx, 1);
+  a.jmp(loop);
+  a.bind(done);
+  a.mov(Gpr::rdi, Gpr::rdx);
+  apps::emit_syscall(a, kern::kSysExitGroup);
+  const isa::Program program = isa::make_program("smc-loop", a, entry).value();
+
+  // Locate the marker immediate's bytes in the image (unique by value).
+  std::uint8_t imm[8];
+  std::uint64_t value = kMarkerOld;
+  std::memcpy(imm, &value, 8);
+  std::size_t offset = 0;
+  int found = 0;
+  for (std::size_t i = 0; i + 8 <= program.image.size(); ++i) {
+    if (std::memcmp(program.image.data() + i, imm, 8) == 0) {
+      offset = i;
+      ++found;
+    }
+  }
+  ASSERT_EQ(found, 1);
+  value = kMarkerNew;
+  std::memcpy(imm, &value, 8);
+
+  auto run_with = [&](bool block_on) {
+    kern::Machine machine;
+    machine.block_exec_enabled = block_on;
+    const kern::Tid tid = machine.load(program).value();
+    // Run far enough that the loop's blocks are warm, then stop at a slice
+    // boundary mid-loop and patch.
+    (void)machine.run(10'000);
+    kern::Task* task = machine.find_task(tid);
+    EXPECT_TRUE(task->runnable());
+    EXPECT_TRUE(task->mem->write_force(program.base + offset, imm).is_ok());
+    const auto stats = machine.run();
+    EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
+#ifndef LZP_BLOCK_EXEC_DISABLED
+    if (block_on) {
+      EXPECT_GE(machine.block_cache_totals().invalidations, 1u);
+    }
+#endif
+    MachineOutcome out;
+    out.exit_code = task->exit_code;
+    out.cycles = machine.total_cycles();
+    out.insns = machine.total_insns();
+    out.steps = machine.total_steps();
+    return out;
+  };
+
+  const MachineOutcome block = run_with(true);
+  const MachineOutcome ref = run_with(false);
+  // The patch is what the remaining iterations executed — a stale block
+  // would have exited with the old marker.
+  EXPECT_EQ(block.exit_code, static_cast<int>(kMarkerNew));
+  EXPECT_EQ(block.exit_code, ref.exit_code);
+  EXPECT_EQ(block.cycles, ref.cycles);
+  EXPECT_EQ(block.insns, ref.insns);
+  EXPECT_EQ(block.steps, ref.steps);
+}
+
+TEST(BlockExecSmpTest, FourCpuShootdownDuringBatchedExecution) {
+  // CLONE_VM threads spread over 4 CPUs (gang_shared=false) under
+  // lazypoline: the runtime's self-modifying site rewrites on one CPU must
+  // shoot down the blocks other CPUs are executing, and the workload must
+  // still serve every request.
+  kern::Machine machine;
+  machine.mmap_min_addr = 0;
+  ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", 1024).is_ok());
+  kern::ClientWorkload workload;
+  workload.connections = 12;
+  workload.total_requests = 300;
+  workload.response_bytes = apps::nginx_profile().header_bytes + 1024;
+  const int listener = machine.net().create_listener(workload);
+
+  auto program = apps::make_threaded_webserver(machine, apps::nginx_profile(),
+                                               "index.html", 4)
+                     .value();
+  machine.register_program(program);
+  const kern::Tid main_tid = machine.load(program).value();
+  kern::FdEntry entry;
+  entry.kind = kern::FdEntry::Kind::kListener;
+  entry.net_id = listener;
+  machine.find_task(main_tid)->process->install_fd_at(apps::kListenerFd, entry);
+  auto runtime = core::Lazypoline::create(machine, {});
+  ASSERT_TRUE(runtime
+                  ->install(machine, main_tid,
+                            std::make_shared<interpose::DummyHandler>())
+                  .is_ok());
+
+  kern::SmpConfig config;
+  config.cpus = 4;
+  config.seed = 5;
+  config.gang_shared = false;
+  const kern::SmpStats stats = machine.run_smp(config);
+  EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
+  EXPECT_EQ(machine.net().completed_requests(listener), 300u);
+
+  std::set<unsigned> cpus_used;
+  for (kern::Tid tid : machine.task_ids()) {
+    cpus_used.insert(machine.find_task(tid)->cpu);
+  }
+#ifndef LZP_BLOCK_EXEC_DISABLED
+  EXPECT_GT(machine.block_cache_totals().hits, 0u);
+#endif
+  if (cpus_used.size() > 1) {
+    EXPECT_GT(stats.shootdowns, 0u)
+        << "spread CLONE_VM siblings saw no SMC shootdown";
+  }
+}
+
+// --- the nop-sled superop ----------------------------------------------------
+
+TEST(BlockExecSuperopTest, NopSledSlicesMatchReferencePath) {
+  // block_step retires a block of nops only in O(1) when the slice budget
+  // covers it, and hands a budget that ends inside it to run_block. Drive a
+  // zpoline and a lazypoline getpid loop (rax = 39 lands ~470 nops before
+  // the sled's end) slice by slice with an uneven budget sequence, and
+  // check after every slice that the engine agrees with the reference path
+  // on rip, steps, cycles, and retired instructions; at the end, that the
+  // profiler's class sums are identical too.
+  constexpr std::uint64_t kBudgets[] = {1, 3, 7, 13, 31, 32, 33, 64, 97, 5, 200};
+  const isa::Program program =
+      testutil::make_syscall_loop(kern::kSysGetpid, 40, "sled-loop");
+
+  struct Lane {
+    profile::Profiler profiler;  // outlives the machine holding it as sink
+    kern::Machine machine;
+    kern::Task* task = nullptr;
+  };
+  auto make_lane = [&](Lane& lane, bool block_on, bool zpoline) {
+    lane.machine.block_exec_enabled = block_on;
+    lane.machine.mmap_min_addr = 0;
+    lane.profiler.attach(lane.machine);
+    lane.machine.register_program(program);
+    const kern::Tid tid = lane.machine.load(program).value();
+    auto handler = std::make_shared<interpose::DummyHandler>();
+    const Status status =
+        zpoline ? zpoline::ZpolineMechanism().install(lane.machine, tid, handler)
+                : core::Lazypoline::create(lane.machine, {})
+                      ->install(lane.machine, tid, handler);
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    lane.task = lane.machine.find_task(tid);
+  };
+
+  for (const bool zpoline : {true, false}) {
+    SCOPED_TRACE(zpoline ? "zpoline" : "lazypoline");
+    Lane block;
+    Lane ref;
+    make_lane(block, true, zpoline);
+    make_lane(ref, false, zpoline);
+
+    // Classifies each slice that starts on a block of nops only: either the
+    // budget covers the block (superop) or it ends inside it (run_block).
+    cpu::BlockCache probe;
+    std::uint64_t superop_slices = 0;
+    std::uint64_t cut_slices = 0;
+    for (std::size_t i = 0; block.task->runnable(); ++i) {
+      ASSERT_LT(i, 100'000u) << "loop did not finish";
+      const std::uint64_t budget = kBudgets[i % std::size(kBudgets)];
+      if (const cpu::DecodedBlock* head =
+              probe.lookup_or_build(*block.task->mem, block.task->ctx.rip);
+          head != nullptr && head->nops == head->insns.size()) {
+        if (budget >= head->insns.size()) {
+          ++superop_slices;
+        } else {
+          ++cut_slices;
+        }
+      }
+      block.machine.run_slice(*block.task, budget);
+      ref.machine.run_slice(*ref.task, budget);
+      ASSERT_EQ(block.task->ctx.rip, ref.task->ctx.rip) << "slice " << i;
+      ASSERT_EQ(block.machine.total_steps(), ref.machine.total_steps());
+      ASSERT_EQ(block.machine.total_cycles(), ref.machine.total_cycles());
+      ASSERT_EQ(block.machine.total_insns(), ref.machine.total_insns());
+    }
+    EXPECT_FALSE(ref.task->runnable());
+    EXPECT_EQ(block.task->exit_code, 0);
+    EXPECT_GT(superop_slices, 0u);
+    EXPECT_GT(cut_slices, 0u);
+
+    // run() on the exited machines only flushes the profile mirror.
+    (void)block.machine.run();
+    (void)ref.machine.run();
+    EXPECT_EQ(block.profiler.class_cycles(), ref.profiler.class_cycles());
+    EXPECT_EQ(block.profiler.total_cycles(), block.machine.total_cycles());
+  }
 }
 
 // --- record/replay neutrality ------------------------------------------------
 
-replay::Trace record_loop(bool block_on, bool trace_on) {
+replay::Trace record_loop(bool block_on) {
   const auto program = testutil::make_syscall_loop(kern::kSysGetpid, 40);
   auto recorder = std::make_shared<replay::Recorder>();
   kern::Machine machine;
   machine.block_exec_enabled = block_on;
-  machine.trace_exec_enabled = trace_on;
   machine.mmap_min_addr = 0;
   machine.register_program(program);
   recorder->attach(machine, /*rng_seed=*/42, "sud", "loop");
@@ -457,11 +657,7 @@ replay::Trace record_loop(bool block_on, bool trace_on) {
 }
 
 TEST(BlockExecReplayTest, RecordedTracesAreIdenticalAcrossEngines) {
-  const replay::Trace ref = record_loop(false, false);
-  const replay::Trace block = record_loop(true, false);
-  const replay::Trace trace = record_loop(true, true);
-  EXPECT_EQ(block, ref);
-  EXPECT_EQ(trace, ref);
+  EXPECT_EQ(record_loop(true), record_loop(false));
 }
 
 TEST(BlockExecReplayTest, ExternalKillRoundTripsWithEngineEnabled) {

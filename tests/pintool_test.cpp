@@ -184,6 +184,12 @@ struct CoreutilCase {
   bool affected_ubuntu;
 };
 
+// Without this, gtest prints the raw bytes of the struct (an ASLR-dependent
+// pointer plus uninitialised padding), so the test names change every build.
+void PrintTo(const CoreutilCase& c, std::ostream* os) {
+  *os << c.name << ", Ubuntu " << (c.affected_ubuntu ? "affected" : "unaffected");
+}
+
 class TableThreeTest : public ::testing::TestWithParam<CoreutilCase> {};
 
 TEST_P(TableThreeTest, UbuntuMatchesPaperMatrix) {
