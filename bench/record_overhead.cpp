@@ -11,10 +11,17 @@
 // mechanism's interposition cost — ptrace-based recording costs multiples of
 // native, lazypoline-based recording stays within a few percent.
 //
+// Each row also carries the host wall time of its plain and recorded runs
+// and their reference-path steps by fallback reason
+// (Machine::fallback_totals). Attaching the Recorder must not take the block
+// engine away: the run fails if a recorded run makes more reference steps
+// than the plain run of the same mechanism and workload.
+//
 //   ./build/bench/record_overhead [out.json]
 //
 // Emits an ASCII table per workload plus a JSON summary (default
 // BENCH_record_overhead.json) for the perf trajectory.
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -23,6 +30,7 @@
 
 #include "apps/coreutils.hpp"
 #include "apps/webserver.hpp"
+#include "base/strings.hpp"
 #include "bench_util.hpp"
 #include "mechanisms/ptrace_tool.hpp"
 #include "metrics/report.hpp"
@@ -77,6 +85,8 @@ void install(kern::Machine& machine, kern::Tid tid,
 struct RunResult {
   std::uint64_t wall_cycles = 0;
   std::size_t trace_events = 0;  // 0 when not recording
+  kern::FallbackStats fallbacks;
+  double wall_ms = 0.0;  // host time of the whole run, set-up included
 };
 
 // One webserver run (2 workers); wall time = the slowest worker, as in fig5.
@@ -127,6 +137,7 @@ RunResult run_webserver(Mech mech, bool record) {
         std::max(result.wall_cycles, machine.find_task(tid)->cycles);
   }
   if (record) result.trace_events = recorder->trace().events.size();
+  result.fallbacks = machine.fallback_totals();
   return result;
 }
 
@@ -157,19 +168,40 @@ RunResult run_coreutils(Mech mech, bool record) {
     }
     result.wall_cycles += machine.find_task(tid)->cycles;
     if (record) result.trace_events += recorder->trace().events.size();
+    result.fallbacks += machine.fallback_totals();
   }
+  return result;
+}
+
+// Runs one leg and times it on the host clock.
+RunResult timed_run(RunResult (*run)(Mech, bool), Mech mech, bool record) {
+  const auto start = std::chrono::steady_clock::now();
+  RunResult result = run(mech, record);
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   return result;
 }
 
 struct Row {
   std::string workload;
   std::string mechanism;
-  std::uint64_t plain_cycles = 0;
-  std::uint64_t record_cycles = 0;
-  std::size_t trace_events = 0;
+  RunResult plain;
+  RunResult record;
   double plain_x_native = 0.0;
   double record_x_native = 0.0;
 };
+
+// One JSON field per fallback reason, named <prefix>_ref_<reason>.
+void add_fallbacks(metrics::JsonObject& json, const std::string& prefix,
+                   const kern::FallbackStats& fallbacks) {
+  json.add(prefix + "_ref_engine_disabled", fallbacks.engine_disabled)
+      .add(prefix + "_ref_insn_observer", fallbacks.insn_observer)
+      .add(prefix + "_ref_ptraced", fallbacks.ptraced)
+      .add(prefix + "_ref_host_rip", fallbacks.host_rip)
+      .add(prefix + "_ref_signal", fallbacks.signal)
+      .add(prefix + "_ref_no_block", fallbacks.no_block);
+}
 
 }  // namespace
 
@@ -180,6 +212,7 @@ int main(int argc, char** argv) {
                                    Mech::kLazypoline};
   std::vector<Row> rows;
   double ptrace_x = 0.0, lazypoline_x = 0.0;
+  std::vector<std::string> engine_failures;
 
   struct Workload {
     const char* name;
@@ -193,24 +226,35 @@ int main(int argc, char** argv) {
   for (const auto& workload : workloads) {
     const std::uint64_t native = workload.run(Mech::kNative, false).wall_cycles;
     metrics::Table table({"mechanism", "plain cycles", "record cycles",
-                          "plain x native", "record x native", "events"});
+                          "plain x native", "record x native", "events",
+                          "plain ms", "record ms", "plain ref steps",
+                          "record ref steps"});
     for (Mech mech : mechs) {
       Row row;
       row.workload = workload.name;
       row.mechanism = mech_name(mech);
-      row.plain_cycles = workload.run(mech, false).wall_cycles;
-      const RunResult rec = workload.run(mech, true);
-      row.record_cycles = rec.wall_cycles;
-      row.trace_events = rec.trace_events;
-      row.plain_x_native =
-          static_cast<double>(row.plain_cycles) / static_cast<double>(native);
-      row.record_x_native =
-          static_cast<double>(row.record_cycles) / static_cast<double>(native);
-      table.add_row({row.mechanism, std::to_string(row.plain_cycles),
-                     std::to_string(row.record_cycles),
+      row.plain = timed_run(workload.run, mech, false);
+      row.record = timed_run(workload.run, mech, true);
+      row.plain_x_native = static_cast<double>(row.plain.wall_cycles) /
+                           static_cast<double>(native);
+      row.record_x_native = static_cast<double>(row.record.wall_cycles) /
+                            static_cast<double>(native);
+      table.add_row({row.mechanism, std::to_string(row.plain.wall_cycles),
+                     std::to_string(row.record.wall_cycles),
                      metrics::ratio(row.plain_x_native),
                      metrics::ratio(row.record_x_native),
-                     std::to_string(row.trace_events)});
+                     std::to_string(row.record.trace_events),
+                     format_double(row.plain.wall_ms, 1),
+                     format_double(row.record.wall_ms, 1),
+                     std::to_string(row.plain.fallbacks.total()),
+                     std::to_string(row.record.fallbacks.total())});
+      if (row.record.fallbacks.total() > row.plain.fallbacks.total()) {
+        engine_failures.push_back(
+            row.workload + "/" + row.mechanism + ": " +
+            std::to_string(row.record.fallbacks.total()) +
+            " reference steps recorded vs " +
+            std::to_string(row.plain.fallbacks.total()) + " plain");
+      }
       if (mech == Mech::kPtrace) ptrace_x += row.record_x_native;
       if (mech == Mech::kLazypoline) lazypoline_x += row.record_x_native;
       rows.push_back(std::move(row));
@@ -223,18 +267,34 @@ int main(int argc, char** argv) {
   std::vector<std::string> results;
   results.reserve(rows.size());
   for (const Row& row : rows) {
-    results.push_back(metrics::JsonObject()
-                          .add("workload", row.workload)
-                          .add("mechanism", row.mechanism)
-                          .add("plain_cycles", row.plain_cycles)
-                          .add("record_cycles", row.record_cycles)
-                          .add("plain_x_native", row.plain_x_native)
-                          .add("record_x_native", row.record_x_native)
-                          .add("trace_events",
-                               static_cast<std::uint64_t>(row.trace_events))
-                          .render());
+    metrics::JsonObject json;
+    json.add("workload", row.workload)
+        .add("mechanism", row.mechanism)
+        .add("plain_cycles", row.plain.wall_cycles)
+        .add("record_cycles", row.record.wall_cycles)
+        .add("plain_x_native", row.plain_x_native)
+        .add("record_x_native", row.record_x_native)
+        .add("trace_events",
+             static_cast<std::uint64_t>(row.record.trace_events))
+        .add("plain_wall_ms", row.plain.wall_ms)
+        .add("record_wall_ms", row.record.wall_ms);
+    add_fallbacks(json, "plain", row.plain.fallbacks);
+    add_fallbacks(json, "record", row.record.fallbacks);
+    results.push_back(json.render());
   }
   write_json_report(json_path, "record_overhead", results);
+
+  // Acceptance: recording keeps the block engine. Deterministic, so it holds
+  // on any host.
+  if (!engine_failures.empty()) {
+    for (const std::string& failure : engine_failures) {
+      std::fprintf(stderr, "FAIL: recorder forced the reference path: %s\n",
+                   failure.c_str());
+    }
+    return 1;
+  }
+  std::printf("recorded runs make no more reference steps than plain runs: "
+              "OK\n");
 
   // Acceptance: lazypoline-based recording must beat the ptrace recorder.
   if (lazypoline_x >= ptrace_x) {

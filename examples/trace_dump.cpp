@@ -194,8 +194,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("%s under %s: %llu machine steps\n\n", workload.c_str(),
-              mechanism.c_str(), static_cast<unsigned long long>(stats.insns));
+  std::printf("%s under %s: %llu machine steps, %llu retired instructions\n\n",
+              workload.c_str(), mechanism.c_str(),
+              static_cast<unsigned long long>(machine.total_steps()),
+              static_cast<unsigned long long>(stats.insns));
+  // The engine's fallback counters join the summary's counter table.
+  trace::record_fallback_stats(tracer.metrics(), machine.fallback_totals());
   std::printf("%s", trace::render_summary(tracer).c_str());
 
   if (policy_mode) {

@@ -14,9 +14,11 @@
 # must trip at least one violation with identical counts across mechanisms),
 # then the record-overhead bench (emits
 # BENCH_record_overhead.json at the repo root and fails if lazypoline-based
-# recording is not cheaper than ptrace's), then the trace-overhead bench
-# (emits BENCH_trace_overhead.json and fails if an attached-but-disabled
-# Tracer costs >2% wall time or an enabled one >15%, or if tracing perturbs
+# recording is not cheaper than ptrace's, or if any recorded run makes more
+# reference-path steps than the plain run of the same mechanism and
+# workload, i.e. the Recorder took the block engine away), then the
+# trace-overhead bench (emits BENCH_trace_overhead.json and fails if an
+# attached-but-disabled Tracer costs >2% wall time or an enabled one >15%, or if tracing perturbs
 # simulated cycles at all), then the block-exec bench (emits
 # BENCH_block_exec.json and fails if the superblock engine is <1.5x the
 # decode-cache baseline on straight-line code, <5x the reference path on the

@@ -252,6 +252,9 @@ void Machine::run_slice_counted(Task& task, std::uint64_t max_insns,
         }
         continue;
       }
+      ++task.fallbacks.no_block;
+    } else {
+      count_fallback(task);
     }
 #endif
     if (!step_once(task, steps)) return;
@@ -271,10 +274,29 @@ bool Machine::deliverable_signal_pending(const Task& task) noexcept {
 bool Machine::can_batch_execute(const Task& task) const noexcept {
   // Every condition here names a client that needs per-instruction
   // precision; the per-step path is the reference semantics and anything
-  // that observes or perturbs individual steps gets it.
-  return block_exec_enabled && insn_observers_.empty() &&
-         slice_observers_.empty() && !schedule_hook_ && !task.ptraced &&
+  // that observes or perturbs individual steps gets it. Slice observers and
+  // the schedule hook (record/replay) are not among them: both act only
+  // between slices, and the block path ends a slice on exactly the step the
+  // per-step path would.
+  return block_exec_enabled && insn_observers_.empty() && !task.ptraced &&
          !is_host_addr(task.ctx.rip) && !deliverable_signal_pending(task);
+}
+
+void Machine::count_fallback(Task& task) const noexcept {
+  // Same conditions, same order as can_batch_execute: the first that holds
+  // is the reason.
+  FallbackStats& fallbacks = task.fallbacks;
+  if (!block_exec_enabled) {
+    ++fallbacks.engine_disabled;
+  } else if (!insn_observers_.empty()) {
+    ++fallbacks.insn_observer;
+  } else if (task.ptraced) {
+    ++fallbacks.ptraced;
+  } else if (is_host_addr(task.ctx.rip)) {
+    ++fallbacks.host_rip;
+  } else {
+    ++fallbacks.signal;
+  }
 }
 
 bool Machine::block_step(Task& task, const cpu::DecodedBlock& block,
@@ -805,6 +827,13 @@ cpu::DecodeCacheStats Machine::decode_cache_totals() const {
   };
   for (const auto& [tid, task] : tasks_) add(*task);
   for (const auto& task : nursery_) add(*task);
+  return totals;
+}
+
+FallbackStats Machine::fallback_totals() const {
+  FallbackStats totals;
+  for (const auto& [tid, task] : tasks_) totals += task->fallbacks;
+  for (const auto& task : nursery_) totals += task->fallbacks;
   return totals;
 }
 

@@ -112,14 +112,18 @@ class Machine {
   // Superblock execution engine (cpu/block_cache.hpp): run_slice executes
   // cached straight-line decodes as batches — accounting hoisted to block
   // boundaries — whenever exactness permits, and falls back to step_once
-  // when it does not: per-instruction observers, record/replay hooks,
-  // ptrace, host code at rip, or a deliverable pending signal. On by
-  // default; compiled out wholesale with -DLZP_BLOCK_EXEC=OFF (the flag
-  // remains so toggling code builds either way).
+  // when it does not: per-instruction observers, ptrace, host code at rip,
+  // or a deliverable pending signal. On by default; compiled out wholesale
+  // with -DLZP_BLOCK_EXEC=OFF (the flag remains so toggling code builds
+  // either way).
   bool block_exec_enabled = true;
   // Block-cache / data-TLB counters summed over every task.
   [[nodiscard]] cpu::BlockCacheStats block_cache_totals() const;
   [[nodiscard]] cpu::DataTlbStats data_tlb_totals() const;
+  // Reference-path steps by fallback reason, summed over every task. All
+  // zero in a -DLZP_BLOCK_EXEC=OFF build, which has no engine to fall back
+  // from.
+  [[nodiscard]] FallbackStats fallback_totals() const;
 
   // --- host function registry ---------------------------------------------
   // `cls` is the cycle-attribution class charges take while the bound
@@ -166,8 +170,9 @@ class Machine {
   // tasks onto config.cpus simulated CPUs and runs their queues on a host
   // thread pool between deterministic barriers. config.cpus <= 1 delegates
   // to run() — bit-identical to the single-threaded engine by construction.
-  // Replay (schedule hook / slice observers) and insn observers are
-  // incompatible with batching across CPUs and must not be armed.
+  // Replay must not be armed: the SMP loop neither consults the schedule
+  // hook nor notifies slice observers. Nor may insn observers, which lanes
+  // would call from several host threads at once.
   SmpStats run_smp(const SmpConfig& config,
                    std::uint64_t max_total_steps = kDefaultInsnBudget);
   // True while run_smp's parallel phases may be executing: kernel paths use
@@ -381,6 +386,9 @@ class Machine {
   // True when run_slice may execute `task` through the superblock engine
   // without observable divergence from per-instruction stepping.
   [[nodiscard]] bool can_batch_execute(const Task& task) const noexcept;
+  // Books one reference-path step against the first can_batch_execute
+  // condition that failed. Off the hot path: runs only after a refusal.
+  [[gnu::cold, gnu::noinline]] void count_fallback(Task& task) const noexcept;
   // Executes one block (bounded by `budget` steps), batch-charges
   // cost/counters and the lane's step counter, and handles the block's exit
   // exactly as step_once would. A block of nops only that fits the budget

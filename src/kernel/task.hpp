@@ -84,6 +84,33 @@ struct Process {
   }
 };
 
+// Steps that ran on the per-instruction reference path (Machine::step_once)
+// on a machine built with the block engine, by the reason the engine
+// declined them. Counted per task, so SMP lanes never share a counter; a
+// build with -DLZP_BLOCK_EXEC=OFF counts nothing.
+struct FallbackStats {
+  std::uint64_t engine_disabled = 0;  // block_exec_enabled == false
+  std::uint64_t insn_observer = 0;    // a per-instruction observer attached
+  std::uint64_t ptraced = 0;          // host tracer attached to the task
+  std::uint64_t host_rip = 0;         // rip in the host-function region
+  std::uint64_t signal = 0;           // deliverable pending signal
+  std::uint64_t no_block = 0;         // no block at rip (fetch fault, bad opcode)
+
+  [[nodiscard]] std::uint64_t total() const noexcept {
+    return engine_disabled + insn_observer + ptraced + host_rip + signal +
+           no_block;
+  }
+  FallbackStats& operator+=(const FallbackStats& other) noexcept {
+    engine_disabled += other.engine_disabled;
+    insn_observer += other.insn_observer;
+    ptraced += other.ptraced;
+    host_rip += other.host_rip;
+    signal += other.signal;
+    no_block += other.no_block;
+    return *this;
+  }
+};
+
 struct Task {
   Tid tid = 0;
   // Atomic because SMP-mode kernel paths on one simulated CPU read another
@@ -109,6 +136,8 @@ struct Task {
   // cpu/data_tlb.hpp).
   cpu::BlockCache bcache;
   cpu::DataTlb dtlb;
+  // Why this task's reference-path steps did not batch (see FallbackStats).
+  FallbackStats fallbacks;
 
   SudState sud;
   // seccomp filters attached to this task (newest last, all run, most

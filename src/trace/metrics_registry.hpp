@@ -158,4 +158,19 @@ inline void record_smp_stats(MetricsRegistry& metrics,
   }
 }
 
+// Folds Machine::fallback_totals() into registry counters under the
+// "engine.fallback." prefix, plus their sum as "engine.ref_steps": why the
+// block engine did not run the steps it did not run. Header-only for the same
+// reason as record_smp_stats.
+inline void record_fallback_stats(MetricsRegistry& metrics,
+                                  const kern::FallbackStats& fallbacks) {
+  metrics.bump("engine.ref_steps", fallbacks.total());
+  metrics.bump("engine.fallback.engine_disabled", fallbacks.engine_disabled);
+  metrics.bump("engine.fallback.insn_observer", fallbacks.insn_observer);
+  metrics.bump("engine.fallback.ptraced", fallbacks.ptraced);
+  metrics.bump("engine.fallback.host_rip", fallbacks.host_rip);
+  metrics.bump("engine.fallback.signal", fallbacks.signal);
+  metrics.bump("engine.fallback.no_block", fallbacks.no_block);
+}
+
 }  // namespace lzp::trace

@@ -66,6 +66,13 @@ struct Case {
   LibcProfile profile;
 };
 
+// Without this, gtest prints a Case as its raw bytes, a pointer among them,
+// and the parameterized test names change from one build to the next.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.name << ", "
+      << (c.profile == LibcProfile::kUbuntu2004 ? "Ubuntu" : "Clear Linux");
+}
+
 class CoreutilTransparencyTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CoreutilTransparencyTest, FullXstateModeIsInvisible) {

@@ -9,8 +9,11 @@
 //   * SMC mid-run and a 4-CPU shootdown during batched execution,
 //   * the nop-sled superop: slice by slice through zpoline's and
 //     lazypoline's sled, including budgets that end inside a nop block,
-//   * record/replay neutrality: traces recorded with the engine on and off
-//     are identical, and replay round trips survive an external kill.
+//   * record/replay neutrality: the Recorder keeps the engine on, traces
+//     recorded with the engine on and off are identical, and replay round
+//     trips survive an external kill,
+//   * fallback accounting: every reference-path step is counted under the
+//     reason the engine declined it.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -29,6 +32,7 @@
 #include "isa/decode.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
+#include "mechanisms/ptrace_tool.hpp"
 #include "mechanisms/sud_tool.hpp"
 #include "profile/profiler.hpp"
 #include "replay/recorder.hpp"
@@ -640,7 +644,10 @@ TEST(BlockExecSuperopTest, NopSledSlicesMatchReferencePath) {
 
 // --- record/replay neutrality ------------------------------------------------
 
-replay::Trace record_loop(bool block_on) {
+// Records a SUD getpid loop. `engaged` reports whether the block engine ran
+// the recording: blocks were looked up, and every reference-path step was
+// host code (the SIGSYS handler).
+replay::Trace record_loop(bool block_on, bool* engaged) {
   const auto program = testutil::make_syscall_loop(kern::kSysGetpid, 40);
   auto recorder = std::make_shared<replay::Recorder>();
   kern::Machine machine;
@@ -653,11 +660,23 @@ replay::Trace record_loop(bool block_on) {
   EXPECT_TRUE(mechanism.install(machine, tid, recorder).is_ok());
   const auto stats = machine.run();
   EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
+  const cpu::BlockCacheStats blocks = machine.block_cache_totals();
+  const kern::FallbackStats fallbacks = machine.fallback_totals();
+  *engaged = blocks.hits + blocks.misses > 0 &&
+             fallbacks.total() == fallbacks.host_rip;
   return recorder->take_trace();
 }
 
 TEST(BlockExecReplayTest, RecordedTracesAreIdenticalAcrossEngines) {
-  EXPECT_EQ(record_loop(true), record_loop(false));
+  bool engaged_on = false;
+  bool engaged_off = true;
+  EXPECT_EQ(record_loop(true, &engaged_on), record_loop(false, &engaged_off));
+  EXPECT_FALSE(engaged_off);
+#ifndef LZP_BLOCK_EXEC_DISABLED
+  // Not vacuous: the Recorder (a slice observer) leaves the engine on, so
+  // the two recordings really ran on different engines.
+  EXPECT_TRUE(engaged_on);
+#endif
 }
 
 TEST(BlockExecReplayTest, ExternalKillRoundTripsWithEngineEnabled) {
@@ -701,6 +720,90 @@ TEST(BlockExecReplayTest, ExternalKillRoundTripsWithEngineEnabled) {
     EXPECT_EQ(machine.find_task(tid)->insns_retired, recorded_retired);
   }
   EXPECT_EQ(replayer->stats().signals_posted, 1u);
+}
+
+// --- fallback accounting -----------------------------------------------------
+
+TEST(FallbackCounterTest, CountsEveryReferenceStepByReason) {
+  const auto program = testutil::make_syscall_loop(kern::kSysGetpid, 20);
+  struct Leg {
+    const char* name;
+    std::function<void(kern::Machine&, kern::Tid)> setup;
+    std::uint64_t kern::FallbackStats::*reason;
+  };
+  const Leg legs[] = {
+      {"engine off",
+       [](kern::Machine& machine, kern::Tid) {
+         machine.block_exec_enabled = false;
+       },
+       &kern::FallbackStats::engine_disabled},
+      {"insn observer",
+       [](kern::Machine& machine, kern::Tid) {
+         machine.add_insn_observer(
+             [](const kern::Task&, const isa::Instruction&) {});
+       },
+       &kern::FallbackStats::insn_observer},
+      {"ptrace",
+       [](kern::Machine& machine, kern::Tid tid) {
+         EXPECT_TRUE(mechanisms::PtraceMechanism()
+                         .install(machine, tid,
+                                  std::make_shared<interpose::DummyHandler>())
+                         .is_ok());
+       },
+       &kern::FallbackStats::ptraced},
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    kern::Machine machine;
+    const kern::Tid tid = machine.load(program).value();
+    leg.setup(machine, tid);
+    ASSERT_TRUE(machine.run().all_exited) << machine.last_fatal();
+    const kern::FallbackStats fallbacks = machine.fallback_totals();
+#ifndef LZP_BLOCK_EXEC_DISABLED
+    // Each refusal reason outranks the rest, so every step lands on it.
+    EXPECT_EQ(fallbacks.*leg.reason, machine.total_steps());
+    EXPECT_EQ(fallbacks.total(), machine.total_steps());
+#else
+    EXPECT_EQ(fallbacks.total(), 0u);  // no engine to fall back from
+#endif
+  }
+}
+
+TEST(FallbackCounterTest, SignalHostCodeAndMissingBlockAreCounted) {
+  const auto program = testutil::make_syscall_loop(kern::kSysGetpid, 50);
+  kern::Machine machine;
+  const kern::Tid tid = machine.load(program).value();
+  kern::Task* task = machine.find_task(tid);
+  const std::uint64_t handler = machine.bind_host(
+      "block_exec_test.sigusr1", [](kern::HostFrame& frame) {
+        (void)frame.syscall(kern::kSysRtSigreturn);
+      });
+  task->process->sigactions[kern::kSigusr1] = kern::SigAction{handler, 0, 0};
+  (void)machine.run(100);
+  kern::SigInfo info;
+  info.signo = kern::kSigusr1;
+  ASSERT_TRUE(machine.post_signal(tid, info).is_ok());
+  ASSERT_TRUE(machine.run().all_exited) << machine.last_fatal();
+
+  // A second task whose rip points at unmapped memory: no block can be
+  // built, so its one step (the fetch fault that kills it) is a fallback.
+  const kern::Tid lost = machine.load(program).value();
+  machine.find_task(lost)->ctx.rip = 0xdead'0000;
+  (void)machine.run();
+  EXPECT_FALSE(machine.find_task(lost)->runnable());
+
+  const kern::FallbackStats fallbacks = machine.fallback_totals();
+#ifndef LZP_BLOCK_EXEC_DISABLED
+  // The delivery step also runs the host-function handler it lands on, so
+  // the handler costs no host_rip step of its own.
+  EXPECT_EQ(fallbacks.signal, 1u);
+  EXPECT_EQ(fallbacks.host_rip, 0u);
+  EXPECT_EQ(fallbacks.no_block, 1u);  // the unmapped fetch
+  EXPECT_EQ(fallbacks.total(), 2u);
+  EXPECT_EQ(machine.find_task(lost)->fallbacks.no_block, 1u);
+#else
+  EXPECT_EQ(fallbacks.total(), 0u);
+#endif
 }
 
 }  // namespace

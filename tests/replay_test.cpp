@@ -132,10 +132,17 @@ TEST(TraceFormat, EventToStringIsHumanReadable) {
 
 // --- round-trip property ---------------------------------------------------
 
+// What one record or replay run leaves behind: the fingerprint that must not
+// depend on the execution engine, and the engine counters that show which
+// engine ran it.
 struct RunOutcome {
   kern::RunStats stats;
   std::vector<int> exit_codes;
   std::vector<std::uint64_t> insns_retired;
+  std::uint64_t total_steps = 0;
+  std::uint64_t total_cycles = 0;
+  std::uint64_t block_lookups = 0;
+  kern::FallbackStats fallbacks;
 };
 
 RunOutcome collect(Machine& machine, const std::vector<Tid>& tids,
@@ -150,19 +157,97 @@ RunOutcome collect(Machine& machine, const std::vector<Tid>& tids,
       outcome.insns_retired.push_back(task->insns_retired);
     }
   }
+  outcome.total_steps = machine.total_steps();
+  outcome.total_cycles = machine.total_cycles();
+  const cpu::BlockCacheStats blocks = machine.block_cache_totals();
+  outcome.block_lookups = blocks.hits + blocks.misses;
+  outcome.fallbacks = machine.fallback_totals();
   return outcome;
+}
+
+// A record run and the replay of its trace, on one execution engine.
+struct RoundTrip {
+  replay::Trace trace;
+  RunOutcome recorded;
+  RunOutcome replayed;
+};
+
+void expect_same_run(const RunOutcome& on, const RunOutcome& off) {
+  EXPECT_EQ(on.exit_codes, off.exit_codes);
+  EXPECT_EQ(on.insns_retired, off.insns_retired);
+  EXPECT_EQ(on.stats.insns, off.stats.insns);
+  EXPECT_EQ(on.total_steps, off.total_steps);
+  EXPECT_EQ(on.total_cycles, off.total_cycles);
+}
+
+// Engine-differential check. The block engine and the reference path must
+// record the same trace and reproduce the same fingerprint when recording
+// and when replaying. Under SUD, zpoline and lazypoline the engine must also
+// have run both legs: the only reference steps left are host code
+// (interposer entry points) and up to `signal_steps` deliveries of posted
+// signals.
+void expect_engines_agree(const RoundTrip& on, const RoundTrip& off, Mech mech,
+                          std::uint64_t signal_steps = 0) {
+  EXPECT_EQ(on.trace, off.trace);
+  {
+    SCOPED_TRACE("record");
+    expect_same_run(on.recorded, off.recorded);
+  }
+  {
+    SCOPED_TRACE("replay");
+    expect_same_run(on.replayed, off.replayed);
+  }
+#ifndef LZP_BLOCK_EXEC_DISABLED
+  if (mech != Mech::kPtrace) {  // a ptraced task never batches
+    for (const RunOutcome* run : {&on.recorded, &on.replayed}) {
+      EXPECT_GT(run->block_lookups, 0u);
+      EXPECT_LE(run->fallbacks.signal, signal_steps);
+      kern::FallbackStats not_host = run->fallbacks;
+      not_host.host_rip = 0;
+      not_host.signal = 0;
+      EXPECT_EQ(not_host.total(), 0u);
+    }
+  }
+  // The reference leg really was the reference path: every step fell back.
+  for (const RunOutcome* run : {&off.recorded, &off.replayed}) {
+    EXPECT_EQ(run->block_lookups, 0u);
+    EXPECT_EQ(run->fallbacks.engine_disabled, run->total_steps);
+  }
+#else
+  (void)mech;
+  (void)signal_steps;
+#endif
+}
+
+// Runs `scenario(block_on, &round_trip)` with the block engine on and off and
+// compares the two round trips.
+template <typename Scenario>
+void on_both_engines(Mech mech, Scenario scenario,
+                     std::uint64_t signal_steps = 0) {
+  RoundTrip on;
+  RoundTrip off;
+  {
+    SCOPED_TRACE("block engine on");
+    scenario(true, &on);
+  }
+  {
+    SCOPED_TRACE("block engine off");
+    scenario(false, &off);
+  }
+  if (::testing::Test::HasFatalFailure()) return;
+  expect_engines_agree(on, off, mech, signal_steps);
 }
 
 // Records a syscall-loop run under `mech`, replays the trace on a fresh
 // machine, and checks the round-trip property.
-void round_trip_loop(Mech mech) {
+void round_trip_loop(Mech mech, bool block_on, RoundTrip* out) {
   SCOPED_TRACE(mech_name(mech));
   const auto program = testutil::make_syscall_loop(kern::kSysGetpid, 40);
 
   auto recorder = std::make_shared<replay::Recorder>();
-  RunOutcome recorded;
   {
     Machine machine;
+    machine.block_exec_enabled = block_on;
     machine.mmap_min_addr = 0;
     machine.register_program(program);
     recorder->attach(machine, /*rng_seed=*/42, mech_name(mech), "loop");
@@ -170,15 +255,17 @@ void round_trip_loop(Mech mech) {
     install_mechanism(machine, tid, recorder, mech);
     const auto stats = machine.run();
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    recorded = collect(machine, {tid}, stats);
+    out->recorded = collect(machine, {tid}, stats);
     EXPECT_FALSE(recorder->uncaptured_nondeterminism());
   }
   ASSERT_GT(recorder->trace().syscall_count(), 0u);
   ASSERT_GT(recorder->trace().count(replay::EventKind::kSchedule), 0u);
+  out->trace = recorder->trace();
 
   auto replayer = std::make_shared<replay::Replayer>(recorder->take_trace());
   {
     Machine machine;
+    machine.block_exec_enabled = block_on;
     machine.mmap_min_addr = 0;
     machine.register_program(program);
     replayer->attach(machine);
@@ -188,25 +275,33 @@ void round_trip_loop(Mech mech) {
     EXPECT_TRUE(replayer->status().is_ok()) << replayer->status().to_string();
     EXPECT_TRUE(replayer->finished());
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    const RunOutcome replayed = collect(machine, {tid}, stats);
-    EXPECT_EQ(replayed.exit_codes, recorded.exit_codes);
-    EXPECT_EQ(replayed.insns_retired, recorded.insns_retired);
-    EXPECT_EQ(replayed.stats.insns, recorded.stats.insns);
+    out->replayed = collect(machine, {tid}, stats);
+    EXPECT_EQ(out->replayed.exit_codes, out->recorded.exit_codes);
+    EXPECT_EQ(out->replayed.insns_retired, out->recorded.insns_retired);
+    EXPECT_EQ(out->replayed.stats.insns, out->recorded.stats.insns);
   }
   EXPECT_GT(replayer->stats().syscalls_injected, 0u);
 }
 
-TEST(ReplayRoundTrip, SyscallLoopPtrace) { round_trip_loop(Mech::kPtrace); }
-TEST(ReplayRoundTrip, SyscallLoopSud) { round_trip_loop(Mech::kSud); }
-TEST(ReplayRoundTrip, SyscallLoopZpoline) { round_trip_loop(Mech::kZpoline); }
+void loop_on_both_engines(Mech mech) {
+  on_both_engines(mech, [mech](bool block_on, RoundTrip* out) {
+    round_trip_loop(mech, block_on, out);
+  });
+}
+
+TEST(ReplayRoundTrip, SyscallLoopPtrace) { loop_on_both_engines(Mech::kPtrace); }
+TEST(ReplayRoundTrip, SyscallLoopSud) { loop_on_both_engines(Mech::kSud); }
+TEST(ReplayRoundTrip, SyscallLoopZpoline) {
+  loop_on_both_engines(Mech::kZpoline);
+}
 TEST(ReplayRoundTrip, SyscallLoopLazypoline) {
-  round_trip_loop(Mech::kLazypoline);
+  loop_on_both_engines(Mech::kLazypoline);
 }
 
 // The acceptance-criteria workload: a multi-task webserver run, recorded and
 // replayed under every mechanism. Replay runs with NO live network client:
 // all net/vfs payloads come from the trace.
-void round_trip_webserver(Mech mech) {
+void round_trip_webserver(Mech mech, bool block_on, RoundTrip* out) {
   SCOPED_TRACE(mech_name(mech));
   constexpr std::uint64_t kRequests = 40;
   constexpr std::uint64_t kFileSize = 512;
@@ -217,6 +312,7 @@ void round_trip_webserver(Mech mech) {
                    std::vector<Tid>* tids,
                    std::shared_ptr<interpose::SyscallHandler> handler,
                    int* listener_out) {
+    machine.block_exec_enabled = block_on;
     machine.mmap_min_addr = 0;
     ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", kFileSize).is_ok());
     kern::ClientWorkload workload;
@@ -241,7 +337,6 @@ void round_trip_webserver(Mech mech) {
   };
 
   auto recorder = std::make_shared<replay::Recorder>();
-  RunOutcome recorded;
   {
     Machine machine;
     recorder->attach(machine, /*rng_seed=*/7, mech_name(mech), "webserver");
@@ -251,11 +346,12 @@ void round_trip_webserver(Mech mech) {
     const auto stats = machine.run(400'000'000ULL);
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
     ASSERT_EQ(machine.net().completed_requests(listener), kRequests);
-    recorded = collect(machine, tids, stats);
+    out->recorded = collect(machine, tids, stats);
     EXPECT_FALSE(recorder->uncaptured_nondeterminism());
   }
   const std::size_t recorded_syscalls = recorder->trace().syscall_count();
   ASSERT_GT(recorded_syscalls, 0u);
+  out->trace = recorder->trace();
 
   auto replayer = std::make_shared<replay::Replayer>(recorder->take_trace());
   {
@@ -272,10 +368,10 @@ void round_trip_webserver(Mech mech) {
     // Kernel-side network execution really was suppressed.
     EXPECT_EQ(machine.net().completed_requests(listener), 0u);
 
-    const RunOutcome replayed = collect(machine, tids, stats);
-    EXPECT_EQ(replayed.exit_codes, recorded.exit_codes);
-    EXPECT_EQ(replayed.insns_retired, recorded.insns_retired);
-    EXPECT_EQ(replayed.stats.insns, recorded.stats.insns);
+    out->replayed = collect(machine, tids, stats);
+    EXPECT_EQ(out->replayed.exit_codes, out->recorded.exit_codes);
+    EXPECT_EQ(out->replayed.insns_retired, out->recorded.insns_retired);
+    EXPECT_EQ(out->replayed.stats.insns, out->recorded.stats.insns);
   }
   EXPECT_GT(replayer->stats().syscalls_injected, 0u);
   if (mech == Mech::kSud || mech == Mech::kLazypoline) {
@@ -285,11 +381,21 @@ void round_trip_webserver(Mech mech) {
   }
 }
 
-TEST(ReplayRoundTrip, WebserverPtrace) { round_trip_webserver(Mech::kPtrace); }
-TEST(ReplayRoundTrip, WebserverSud) { round_trip_webserver(Mech::kSud); }
-TEST(ReplayRoundTrip, WebserverZpoline) { round_trip_webserver(Mech::kZpoline); }
+void webserver_on_both_engines(Mech mech) {
+  on_both_engines(mech, [mech](bool block_on, RoundTrip* out) {
+    round_trip_webserver(mech, block_on, out);
+  });
+}
+
+TEST(ReplayRoundTrip, WebserverPtrace) {
+  webserver_on_both_engines(Mech::kPtrace);
+}
+TEST(ReplayRoundTrip, WebserverSud) { webserver_on_both_engines(Mech::kSud); }
+TEST(ReplayRoundTrip, WebserverZpoline) {
+  webserver_on_both_engines(Mech::kZpoline);
+}
 TEST(ReplayRoundTrip, WebserverLazypoline) {
-  round_trip_webserver(Mech::kLazypoline);
+  webserver_on_both_engines(Mech::kLazypoline);
 }
 
 // --- signal replay ---------------------------------------------------------
@@ -307,26 +413,29 @@ std::uint64_t bind_sigusr1_counter(Machine& machine, Tid tid, int* counter) {
 
 // An async SIGUSR1 posted from outside the simulation mid-run must be
 // re-delivered by the replayer at the exact recorded instruction boundary.
-TEST(ReplaySignals, ExternalSignalAtExactBoundary) {
+void external_signal_round_trip(Mech mech, bool block_on, RoundTrip* out) {
+  SCOPED_TRACE(mech_name(mech));
   const auto program =
       testutil::make_syscall_loop(kern::kSysGetpid, 200, "sigloop");
 
   auto recorder = std::make_shared<replay::Recorder>();
-  RunOutcome recorded;
   int recorded_runs = 0;
   {
     Machine machine;
-    recorder->attach(machine, /*rng_seed=*/3, "ptrace", "sigloop");
+    machine.block_exec_enabled = block_on;
+    machine.mmap_min_addr = 0;
+    machine.register_program(program);
+    recorder->attach(machine, /*rng_seed=*/3, mech_name(mech), "sigloop");
     const Tid tid = machine.load(program).value();
     bind_sigusr1_counter(machine, tid, &recorded_runs);
-    install_mechanism(machine, tid, recorder, Mech::kPtrace);
+    install_mechanism(machine, tid, recorder, mech);
     (void)machine.run(600);  // partial run, then the async signal arrives
     kern::SigInfo info;
     info.signo = kern::kSigusr1;
     ASSERT_TRUE(machine.post_signal(tid, info).is_ok());
     const auto stats = machine.run();
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    recorded = collect(machine, {tid}, stats);
+    out->recorded = collect(machine, {tid}, stats);
   }
   ASSERT_EQ(recorded_runs, 1);
 
@@ -341,23 +450,27 @@ TEST(ReplaySignals, ExternalSignalAtExactBoundary) {
     }
   }
   ASSERT_GT(recorded_boundary, 0u);
+  out->trace = recorder->trace();
 
   auto replayer = std::make_shared<replay::Replayer>(recorder->take_trace());
   int replayed_runs = 0;
   {
     Machine machine;
+    machine.block_exec_enabled = block_on;
+    machine.mmap_min_addr = 0;
+    machine.register_program(program);
     replayer->attach(machine);
     const Tid tid = machine.load(program).value();
     bind_sigusr1_counter(machine, tid, &replayed_runs);
-    install_mechanism(machine, tid, replayer, Mech::kPtrace);
+    install_mechanism(machine, tid, replayer, mech);
     // One continuous run: the replayer re-posts the signal by itself.
     const auto stats = machine.run();
     EXPECT_TRUE(replayer->status().is_ok()) << replayer->status().to_string();
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    const RunOutcome replayed = collect(machine, {tid}, stats);
-    EXPECT_EQ(replayed.exit_codes, recorded.exit_codes);
-    EXPECT_EQ(replayed.insns_retired, recorded.insns_retired);
-    EXPECT_EQ(replayed.stats.insns, recorded.stats.insns);
+    out->replayed = collect(machine, {tid}, stats);
+    EXPECT_EQ(out->replayed.exit_codes, out->recorded.exit_codes);
+    EXPECT_EQ(out->replayed.insns_retired, out->recorded.insns_retired);
+    EXPECT_EQ(out->replayed.stats.insns, out->recorded.stats.insns);
   }
   EXPECT_EQ(replayed_runs, 1);
   EXPECT_EQ(replayer->stats().signals_posted, 1u);
@@ -366,49 +479,99 @@ TEST(ReplaySignals, ExternalSignalAtExactBoundary) {
   EXPECT_GE(replayer->stats().signals_verified, 1u);
 }
 
+TEST(ReplaySignals, ExternalSignalAtExactBoundary) {
+  // zpoline leaves host-code syscalls alone, so the host SIGUSR1 handler's
+  // rt_sigreturn needs no allowlist, as under ptrace. The posted signal's
+  // delivery is the one step the engine hands to the reference path.
+  for (const Mech mech : {Mech::kPtrace, Mech::kZpoline}) {
+    on_both_engines(
+        mech,
+        [mech](bool block_on, RoundTrip* out) {
+          external_signal_round_trip(mech, block_on, out);
+        },
+        /*signal_steps=*/1);
+  }
+}
+
 // --- multi-task schedule replay --------------------------------------------
 
-TEST(ReplaySchedule, MultiTaskScheduleIsReplayed) {
+void two_loops_round_trip(Mech mech, bool block_on, RoundTrip* out) {
+  SCOPED_TRACE(mech_name(mech));
   const auto program_a =
       testutil::make_syscall_loop(kern::kSysGetpid, 30, "loop-a");
   const auto program_b =
       testutil::make_syscall_loop(kern::kSysGettid, 50, "loop-b");
+  auto setup = [&](Machine& machine,
+                   std::shared_ptr<interpose::SyscallHandler> handler,
+                   std::vector<Tid>* tids) {
+    machine.block_exec_enabled = block_on;
+    machine.mmap_min_addr = 0;
+    machine.register_program(program_a);
+    machine.register_program(program_b);
+    tids->push_back(machine.load(program_a).value());
+    tids->push_back(machine.load(program_b).value());
+    for (const Tid tid : *tids) install_mechanism(machine, tid, handler, mech);
+  };
 
   auto recorder = std::make_shared<replay::Recorder>();
-  RunOutcome recorded;
+  std::uint64_t sled_slice_ends = 0;
   {
     Machine machine;
-    recorder->attach(machine, /*rng_seed=*/11, "sud", "two-loops");
-    const Tid tid_a = machine.load(program_a).value();
-    const Tid tid_b = machine.load(program_b).value();
-    install_mechanism(machine, tid_a, recorder, Mech::kSud);
-    install_mechanism(machine, tid_b, recorder, Mech::kSud);
+    recorder->attach(machine, /*rng_seed=*/11, mech_name(mech), "two-loops");
+    // Counts slices that end with rip inside the VA-0 nop sled, where a
+    // replayed slice budget must stop the engine mid-block.
+    machine.add_slice_observer([&](const Task& task, std::uint64_t) {
+      if (task.runnable() && task.ctx.rip < zpoline::ZpolineMechanism::kSledSize) {
+        ++sled_slice_ends;
+      }
+    });
+    std::vector<Tid> tids;
+    setup(machine, recorder, &tids);
     const auto stats = machine.run();
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    recorded = collect(machine, {tid_a, tid_b}, stats);
+    out->recorded = collect(machine, tids, stats);
   }
   const std::size_t recorded_slices =
       recorder->trace().count(replay::EventKind::kSchedule);
   ASSERT_GT(recorded_slices, 2u);  // interleaved execution, not one slice each
+  if (mech == Mech::kZpoline || mech == Mech::kLazypoline) {
+    EXPECT_GT(sled_slice_ends, 0u);
+  }
+  out->trace = recorder->trace();
 
   auto replayer = std::make_shared<replay::Replayer>(recorder->take_trace());
   {
     Machine machine;
     replayer->attach(machine);
-    const Tid tid_a = machine.load(program_a).value();
-    const Tid tid_b = machine.load(program_b).value();
-    install_mechanism(machine, tid_a, replayer, Mech::kSud);
-    install_mechanism(machine, tid_b, replayer, Mech::kSud);
+    std::vector<Tid> tids;
+    setup(machine, replayer, &tids);
     const auto stats = machine.run();
     EXPECT_TRUE(replayer->status().is_ok()) << replayer->status().to_string();
     EXPECT_TRUE(replayer->finished());
     ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    const RunOutcome replayed = collect(machine, {tid_a, tid_b}, stats);
-    EXPECT_EQ(replayed.exit_codes, recorded.exit_codes);
-    EXPECT_EQ(replayed.insns_retired, recorded.insns_retired);
-    EXPECT_EQ(replayed.stats.insns, recorded.stats.insns);
+    out->replayed = collect(machine, tids, stats);
+    EXPECT_EQ(out->replayed.exit_codes, out->recorded.exit_codes);
+    EXPECT_EQ(out->replayed.insns_retired, out->recorded.insns_retired);
+    EXPECT_EQ(out->replayed.stats.insns, out->recorded.stats.insns);
   }
   EXPECT_EQ(replayer->stats().slices_replayed, recorded_slices);
+}
+
+TEST(ReplaySchedule, MultiTaskScheduleIsReplayed) {
+  on_both_engines(Mech::kSud, [](bool block_on, RoundTrip* out) {
+    two_loops_round_trip(Mech::kSud, block_on, out);
+  });
+}
+
+// The recorded 64-step slices cut the ~470-nop stretch of the VA-0 sled that
+// a getpid/gettid call slides down, so replaying them stops the engine inside
+// blocks of nops only, where the O(1) nop superop must not run.
+TEST(ReplaySchedule, SlicesEndingInsideTheNopSledAreReplayed) {
+  for (const Mech mech : {Mech::kZpoline, Mech::kLazypoline}) {
+    on_both_engines(mech, [mech](bool block_on, RoundTrip* out) {
+      two_loops_round_trip(mech, block_on, out);
+    });
+  }
 }
 
 // --- divergence detection (negative test) ----------------------------------
