@@ -41,9 +41,10 @@
 #
 # The sanitizer pass also includes a TSan leg (LZP_SANITIZE=thread) running
 # the concurrency-relevant suites — the SMP scheduler, the shared-AS
-# invalidation tests, and the threaded webserver — so every data race the
-# parallel substrate could introduce is caught by the race detector, not by
-# flaky output.
+# invalidation tests, the block engine (its 4-CPU shootdown case runs the
+# block interpreter on host threads), and the threaded webserver — so every
+# data race the parallel substrate could introduce is caught by the race
+# detector, not by flaky output.
 #
 #   scripts/check.sh [--no-sanitize] [--no-bench] [--regen-tidy-baseline]
 #                    [--regen-bench-baselines]
@@ -86,9 +87,11 @@ if [[ "${run_sanitize}" == 1 ]]; then
   echo "== thread-sanitizer build (LZP_SANITIZE=thread, SMP suites) =="
   cmake -B build-tsan -S . -DLZP_SANITIZE=thread -DLZP_WERROR=ON >/dev/null
   cmake --build build-tsan -j"$(nproc)" --target \
-    smp_test shared_as_invalidation_test threaded_server_test fig5_webservers
+    smp_test shared_as_invalidation_test threaded_server_test block_exec_test \
+    fig5_webservers
   ./build-tsan/tests/smp_test
   ./build-tsan/tests/shared_as_invalidation_test
+  ./build-tsan/tests/block_exec_test
   ./build-tsan/tests/threaded_server_test
   # A short 4-CPU webserver differential under TSan: the parallel scheduler
   # end to end, with real host threads racing on the kernel tables. The

@@ -49,12 +49,11 @@ bool BlockCache::build(const mem::AddressSpace& as, std::uint64_t rip,
   const std::uint64_t page_base = mem::page_floor(rip);
   block->start = rip;
   block->page_gen = page.gen;
-  block->nops = 0;
-  block->length = 0;
+  block->lead_nops = 0;
   block->insns.clear();
 
   std::uint64_t cursor = rip;
-  while (block->insns.size() < kMaxBlockInsns) {
+  while (block->size() < kMaxBlockInsns) {
     const std::uint64_t offset = cursor - page_base;
     if (offset >= mem::kPageSize) break;
     // Decode from the page's own bytes, clamped to the page end. The decoder
@@ -67,13 +66,15 @@ bool BlockCache::build(const mem::AddressSpace& as, std::uint64_t rip,
     auto decoded = isa::decode(window);
     if (!decoded.is_ok()) break;
     const isa::Instruction& insn = decoded.value();
-    block->insns.push_back(insn);
-    if (insn.op == isa::Op::kNop) ++block->nops;
-    block->length += insn.length;
+    if (insn.op == isa::Op::kNop && insn.length == 1 && block->insns.empty()) {
+      ++block->lead_nops;
+    } else {
+      block->insns.push_back(insn);
+    }
     cursor += insn.length;
     if (ends_block(insn.op)) break;
   }
-  return !block->insns.empty();
+  return block->size() != 0;
 }
 
 const DecodedBlock* BlockCache::lookup_or_build(const mem::AddressSpace& as,
@@ -122,50 +123,6 @@ void BlockCache::flush() noexcept {
   tlb_base_ = kNoAddr;
   tlb_page_ = nullptr;
   as_id_ = 0;
-}
-
-BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
-                   const DecodedBlock& block, std::uint64_t budget,
-                   DataTlb* tlb) {
-  BlockRun run;
-  // Snapshot the address space's code generation: a store inside this block
-  // can rewrite a *later* instruction of the same block (WX self-modifying
-  // code), and the per-instruction reference path would refetch and see the
-  // new bytes. Ending the run at the first generation bump forces a relookup,
-  // which invalidates and rebuilds from the freshly written page.
-  const std::uint64_t code_gen_at_entry = mem.code_gen();
-  for (const isa::Instruction& insn : block.insns) {
-    if (run.executed >= budget) break;
-    const std::uint64_t insn_addr = ctx.rip;
-    const ExecResult result = exec_decoded(ctx, mem, insn, tlb);
-    ++run.executed;
-    run.insn_addr = insn_addr;
-    run.last = &insn;
-    run.kind = result.kind;
-    switch (result.kind) {
-      case ExecKind::kContinue:
-      case ExecKind::kSyscall:
-        ++run.retired;
-        if (insn.op == isa::Op::kNop) ++run.nops;
-        break;
-      case ExecKind::kMemFault:
-        run.fault = result.fault;
-        break;
-      default:
-        break;
-    }
-    // Everything but a mid-block kContinue ends the run: by construction
-    // only the last instruction of a block can be a terminator, and any
-    // fault stops execution with rip still at the faulting instruction.
-    if (result.kind != ExecKind::kContinue) return run;
-    if (mem.code_gen() != code_gen_at_entry) {
-      run.last = nullptr;
-      return run;
-    }
-  }
-  run.kind = ExecKind::kContinue;
-  run.last = nullptr;
-  return run;
 }
 
 }  // namespace lzp::cpu

@@ -23,12 +23,20 @@
 // invalidates single decodes (writes to exec pages, exec-bit mprotect flips,
 // unmap, fork/execve asid changes all bump the relevant generation).
 //
-// run_block() executes through cpu::exec_decoded one instruction at a time,
-// maintaining ctx.rip as it goes: a mid-block fault therefore leaves the
-// context exactly as the per-instruction path would — rip at the faulting
-// instruction, no partial writes, earlier instructions fully retired — and
-// the returned retire/nop counts cover only what actually completed, so the
-// kernel's batched accounting is bit-exact against per-step accounting.
+// run_block() is the simulator's one interpreter (cpu/execute.cpp): a
+// computed-goto loop over the block's instructions in which each handler's
+// tail jumps straight to the next instruction's handler. It maintains ctx.rip
+// as it goes, so a mid-block fault leaves the context exactly as the
+// per-instruction path would — rip at the faulting instruction, no partial
+// writes, earlier instructions fully retired — and the returned
+// executed/retired/nop counts cover only what actually completed, so the
+// kernel's batched accounting is bit-exact against per-step accounting. The
+// per-instruction path (cpu::step / exec_decoded) runs the same handlers one
+// instruction at a time.
+//
+// The index is a multiplicative (Fibonacci) hash of rip. The VA-0 nop sled's
+// block starts (0..0x1ff) and application text at 0x400000 + the same offsets
+// therefore land in different slots instead of evicting each other.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +68,18 @@ struct BlockCacheStats {
 struct DecodedBlock {
   std::uint64_t start = 0;
   std::uint64_t page_gen = 0;  // generation the block was decoded under
-  std::uint32_t nops = 0;      // how many of insns are kNop (cost precompute)
-  std::uint32_t length = 0;    // total encoded bytes (block_step nop superop)
+  // The block's leading run of nops, kept as a count rather than as
+  // instructions: a nop is one byte (isa/insn.hpp), so the count is also
+  // their length in bytes. run_block retires them in O(1). In the zpoline
+  // sled they are the whole block.
+  std::uint32_t lead_nops = 0;
+  // The instructions after the leading nops.
   std::vector<isa::Instruction> insns;
+
+  // Instructions in the block, leading nops included.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return lead_nops + insns.size();
+  }
 };
 
 // True for every opcode that must end a block (control transfers plus the
@@ -99,8 +116,15 @@ class BlockCache {
  private:
   static constexpr std::uint64_t kNoAddr = ~0ULL;
 
+  static constexpr unsigned kIndexBits = 10;
+  static_assert(kNumEntries == std::size_t{1} << kIndexBits);
+
+  // Fibonacci hashing: the top kIndexBits of rip * 2^64/phi. Nearby rips
+  // spread over the whole table, and no two regions whose addresses differ
+  // only in high bits alias slot for slot.
   [[nodiscard]] static std::size_t index_of(std::uint64_t rip) noexcept {
-    return static_cast<std::size_t>((rip ^ (rip >> 12)) & (kNumEntries - 1));
+    return static_cast<std::size_t>((rip * 0x9E3779B97F4A7C15ULL) >>
+                                    (64 - kIndexBits));
   }
 
   // One-entry page-translation TLB (same pattern as DecodeCache).
@@ -125,17 +149,19 @@ class BlockCache {
 
 // Outcome of one run_block() call.
 struct BlockRun {
-  // kContinue: ran to the end of the block (or out of budget) with every
-  // executed instruction retired; ctx.rip points at the next instruction.
-  // Any other kind reproduces exactly what step() would have returned for
-  // the instruction at `insn_addr`.
+  // kContinue: ran to the end of the block (or out of budget, or stopped
+  // after a store that rewrote code) with every executed instruction
+  // retired; ctx.rip points at the next instruction. Any other kind
+  // reproduces exactly what step() would have returned for the instruction
+  // at `insn_addr`.
   ExecKind kind = ExecKind::kContinue;
   std::uint32_t executed = 0;  // instructions attempted — machine steps used
   std::uint32_t retired = 0;   // instructions retired (kContinue/kSyscall)
   std::uint32_t nops = 0;      // of `retired`, how many were kNop
   mem::MemFault fault{};       // valid when kind == kMemFault
-  std::uint64_t insn_addr = 0;             // address of the ending instruction
-  const isa::Instruction* last = nullptr;  // the ending instruction itself
+  // The ending instruction and its address; set when kind != kContinue.
+  std::uint64_t insn_addr = 0;
+  const isa::Instruction* last = nullptr;
 };
 
 // Executes up to `budget` instructions of `block` from its first instruction
@@ -144,7 +170,9 @@ struct BlockRun {
 // so slice boundaries land on identical points with the engine on or off.
 // Stops early at the first non-kContinue outcome; the kSyscall terminator
 // counts as retired (matching step_once's accounting), while
-// kHostCall/kHlt/kTrap and faults execute without retiring.
+// kHostCall/kHlt/kTrap and faults execute without retiring. The block's
+// leading nops retire in O(1), up to the budget. Defined in cpu/execute.cpp
+// next to the handlers it threads through.
 BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
                    const DecodedBlock& block, std::uint64_t budget,
                    DataTlb* tlb = nullptr);

@@ -59,12 +59,11 @@ ExecResult step(CpuContext& ctx, mem::AddressSpace& mem,
                 DecodeCache* cache = nullptr, DataTlb* tlb = nullptr);
 
 // Executes one *already decoded* instruction whose first byte sits at
-// ctx.rip. This is step() minus fetch/decode: the superblock engine
-// (block_cache.hpp) runs a cached straight-line decode through it one
-// instruction at a time, so mid-block faults land at the architecturally
-// correct rip with the context exactly as a per-instruction run would leave
-// it. The returned result has insn_addr filled in but NOT `insn` (the caller
-// already holds the decoded instruction).
+// ctx.rip. This is step() minus fetch/decode, and a one-instruction run of
+// the same threaded interpreter that cpu::run_block (block_cache.hpp) runs
+// over a whole block, so the reference path and the block engine share one
+// set of handler bodies. The returned result has insn_addr filled in but NOT
+// `insn` (the caller already holds the decoded instruction).
 ExecResult exec_decoded(CpuContext& ctx, mem::AddressSpace& mem,
                         const isa::Instruction& insn, DataTlb* tlb = nullptr);
 

@@ -301,20 +301,8 @@ void Machine::count_fallback(Task& task) const noexcept {
 
 bool Machine::block_step(Task& task, const cpu::DecodedBlock& block,
                          std::uint64_t budget, std::uint64_t& steps) {
-  cpu::BlockRun run;
-  if (block.nops == block.insns.size() && budget >= block.insns.size()) {
-    // All-nop superop: the zpoline sled (and any other nop ramp) retires in
-    // O(1) instead of one exec_decoded each. Exact because a nop has no
-    // register, memory, or fault effects beyond advancing rip, lookup_or_build
-    // just proved the page's bytes current, and the run still counts one step
-    // per nop. A budget that ends inside the block takes run_block below.
-    run.executed = static_cast<std::uint32_t>(block.insns.size());
-    run.retired = run.executed;
-    run.nops = run.executed;
-    task.ctx.rip = block.start + block.length;
-  } else {
-    run = cpu::run_block(task.ctx, *task.mem, block, budget, &task.dtlb);
-  }
+  const cpu::BlockRun run =
+      cpu::run_block(task.ctx, *task.mem, block, budget, &task.dtlb);
 
   // Batched accounting. Identical totals to per-instruction stepping: cost
   // is linear in (retired, nops), the counters are plain sums, and every

@@ -391,9 +391,8 @@ class Machine {
   [[gnu::cold, gnu::noinline]] void count_fallback(Task& task) const noexcept;
   // Executes one block (bounded by `budget` steps), batch-charges
   // cost/counters and the lane's step counter, and handles the block's exit
-  // exactly as step_once would. A block of nops only that fits the budget
-  // retires in O(1) (the nop-sled superop). Returns false when the task can
-  // no longer run.
+  // exactly as step_once would. Returns false when the task can no longer
+  // run.
   bool block_step(Task& task, const cpu::DecodedBlock& block,
                   std::uint64_t budget, std::uint64_t& steps);
 #endif

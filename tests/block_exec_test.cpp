@@ -1,13 +1,17 @@
 // Superblock execution engine (cpu/block_cache + Machine batch dispatch):
 //   * block construction, budget clamping, and SMC invalidation at the cpu
-//     layer,
+//     layer, and a block-cache index under which the VA-0 sled and text at
+//     0x400000 do not evict each other,
+//   * per-opcode equivalence: every opcode and its faulting variants through
+//     cpu::step() and cpu::run_block() at budgets 0, 1, 2 and the whole
+//     block, with and without a leading nop,
 //   * the retired-only total_insns() contract (signal kills and host-fn
 //     dispatch advance total_steps() but never total_insns()),
 //   * differential properties: engine on vs off must agree bit-for-bit on
 //     final architectural state, cycles, retired counts, and step counts —
 //     for random programs, interposed loops, and the multi-task webserver,
 //   * SMC mid-run and a 4-CPU shootdown during batched execution,
-//   * the nop-sled superop: slice by slice through zpoline's and
+//   * the leading-nop fold: slice by slice through zpoline's and
 //     lazypoline's sled, including budgets that end inside a nop block,
 //   * record/replay neutrality: the Recorder keeps the engine on, traces
 //     recorded with the engine on and off are identical, and replay round
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -81,7 +86,7 @@ TEST(BlockCacheTest, BuildsThroughTerminatorAndHitsOnReuse) {
   const cpu::DecodedBlock* block = f.cache.lookup_or_build(f.as, kCodeBase);
   ASSERT_NE(block, nullptr);
   EXPECT_EQ(block->insns.size(), 4u);  // terminator (SYSCALL) included
-  EXPECT_EQ(block->nops, 1u);
+  EXPECT_EQ(block->lead_nops, 0u);  // the nop is not leading
   EXPECT_EQ(block->insns.back().op, isa::Op::kSyscall);
   EXPECT_EQ(f.cache.stats().misses, 1u);
 
@@ -164,6 +169,349 @@ TEST(BlockCacheTest, PageCrossingHeadFallsBackToNullptr) {
   // Fully on-page placement of the same bytes builds fine.
   ASSERT_TRUE(as.write_force(kCodeBase, bytes).is_ok());
   EXPECT_NE(cache.lookup_or_build(as, kCodeBase), nullptr);
+}
+
+TEST(BlockCacheTest, SledAndTextDoNotEvictEachOther) {
+  // zpoline's VA-0 nop sled starts blocks at 0..0x1ff, and application text
+  // sits at 0x400000 plus the same offsets. An index that drops the high
+  // bits sends each pair to one slot, so they evict each other on every
+  // sled pass. Look both up, then both again: the second pair must hit.
+  constexpr std::uint64_t kSledStarts = 0x200;
+  mem::AddressSpace as;
+  const std::vector<std::uint8_t> nops(mem::kPageSize, isa::kByteNop);
+  for (const std::uint64_t base : {std::uint64_t{0}, kCodeBase}) {
+    ASSERT_TRUE(as.map(base, mem::kPageSize, mem::kProtRead | mem::kProtExec,
+                       true)
+                    .is_ok());
+    ASSERT_TRUE(as.write_force(base, nops).is_ok());
+  }
+
+  cpu::BlockCache cache;
+  for (std::uint64_t offset = 0; offset < kSledStarts; ++offset) {
+    ASSERT_NE(cache.lookup_or_build(as, offset), nullptr);
+    ASSERT_NE(cache.lookup_or_build(as, kCodeBase + offset), nullptr);
+    const std::uint64_t hits_before = cache.stats().hits;
+    ASSERT_NE(cache.lookup_or_build(as, offset), nullptr);
+    ASSERT_NE(cache.lookup_or_build(as, kCodeBase + offset), nullptr);
+    EXPECT_EQ(cache.stats().hits, hits_before + 2) << "offset " << offset;
+  }
+  EXPECT_EQ(cache.stats().blocks_built, 2 * kSledStarts);
+
+  // Each region alone also fits without a conflict: a second sweep over
+  // all sled starts, then over all text starts, only hits.
+  for (const std::uint64_t base : {std::uint64_t{0}, kCodeBase}) {
+    for (std::uint64_t offset = 0; offset < kSledStarts; ++offset) {
+      ASSERT_NE(cache.lookup_or_build(as, base + offset), nullptr);
+    }
+    const std::uint64_t built = cache.stats().blocks_built;
+    for (std::uint64_t offset = 0; offset < kSledStarts; ++offset) {
+      ASSERT_NE(cache.lookup_or_build(as, base + offset), nullptr);
+    }
+    EXPECT_EQ(cache.stats().blocks_built, built);
+  }
+}
+
+// --- per-opcode engine equivalence -------------------------------------------
+//
+// Every opcode, and the faulting variants of those that touch memory or
+// divide, runs once through cpu::step() instruction by instruction and once
+// through cpu::run_block() from identical state, with budgets 0, 1, 2 and the
+// whole block, with and without a leading nop (the fold). Both must leave
+// identical registers and memory and report identical outcomes and counts.
+
+constexpr std::uint64_t kDataBase = 0x60'0000;   // RW
+constexpr std::uint64_t kStackBase = 0x80'0000;  // RW
+constexpr std::uint64_t kWxBase = 0x90'0000;     // RWX: a store here is SMC
+constexpr std::uint64_t kUnmapped = 0x7000'0000;
+
+struct OpCase {
+  std::string name;
+  // Emits the instruction under test; `target` is bound after the block.
+  std::function<void(Assembler&, Assembler::Label target)> emit;
+  std::function<void(cpu::CpuContext&)> setup = [](cpu::CpuContext&) {};
+};
+
+std::vector<OpCase> op_cases() {
+  using Label = Assembler::Label;
+  auto on = [](Gpr reg, std::uint64_t value) {
+    return [reg, value](cpu::CpuContext& ctx) { ctx.set_reg(reg, value); };
+  };
+  auto gs_at = [](std::uint64_t value) {
+    return [value](cpu::CpuContext& ctx) { ctx.gs_base = value; };
+  };
+  auto flags = [](bool zf, bool lt, bool gt) {
+    return [=](cpu::CpuContext& ctx) { ctx.flags = {zf, lt, gt}; };
+  };
+  const auto unmapped_stack = on(Gpr::rsp, kUnmapped);
+  std::vector<OpCase> cases = {
+      {"nop", [](Assembler& a, Label) { a.nop(); }},
+      {"syscall", [](Assembler& a, Label) { a.syscall_(); }},
+      {"sysenter", [](Assembler& a, Label) { a.sysenter_(); }},
+      {"call_rax", [](Assembler& a, Label) { a.call_rax(); }},
+      {"call_rax_unmapped_stack", [](Assembler& a, Label) { a.call_rax(); },
+       unmapped_stack},
+      {"call", [](Assembler& a, Label t) { a.call(t); }},
+      {"call_unmapped_stack", [](Assembler& a, Label t) { a.call(t); },
+       unmapped_stack},
+      {"jmp", [](Assembler& a, Label t) { a.jmp(t); }},
+      {"jmp_reg", [](Assembler& a, Label) { a.jmp_reg(Gpr::rdi); }},
+      {"ret", [](Assembler& a, Label) { a.ret(); }},
+      {"ret_unmapped_stack", [](Assembler& a, Label) { a.ret(); },
+       unmapped_stack},
+      {"hlt", [](Assembler& a, Label) { a.hlt(); }},
+      {"trap", [](Assembler& a, Label) { a.trap(); }},
+      {"mov_ri", [](Assembler& a, Label) { a.mov(Gpr::rcx, 0x1122'3344'5566'7788ULL); }},
+      {"mov_rr", [](Assembler& a, Label) { a.mov(Gpr::rcx, Gpr::rdx); }},
+      {"mov_ri32", [](Assembler& a, Label) { a.mov32(Gpr::rcx, 0xDEAD'BEEFu); }},
+      {"push", [](Assembler& a, Label) { a.push(Gpr::rcx); }},
+      {"push_unmapped_stack", [](Assembler& a, Label) { a.push(Gpr::rcx); },
+       unmapped_stack},
+      {"push_wx_stack", [](Assembler& a, Label) { a.push(Gpr::rcx); },
+       on(Gpr::rsp, kWxBase + 0x100)},
+      {"pop", [](Assembler& a, Label) { a.pop(Gpr::rcx); }},
+      {"pop_unmapped_stack", [](Assembler& a, Label) { a.pop(Gpr::rcx); },
+       unmapped_stack},
+      {"add_rr", [](Assembler& a, Label) { a.add(Gpr::rcx, Gpr::rdx); }},
+      {"sub_rr", [](Assembler& a, Label) { a.sub(Gpr::rcx, Gpr::rdx); }},
+      {"mul_rr", [](Assembler& a, Label) { a.mul(Gpr::rcx, Gpr::rdx); }},
+      {"div_rr", [](Assembler& a, Label) { a.div(Gpr::rcx, Gpr::rdx); }},
+      {"div_by_zero", [](Assembler& a, Label) { a.div(Gpr::rcx, Gpr::rdx); },
+       on(Gpr::rdx, 0)},
+      {"mod_rr", [](Assembler& a, Label) { a.mod(Gpr::rcx, Gpr::rdx); }},
+      {"mod_by_zero", [](Assembler& a, Label) { a.mod(Gpr::rcx, Gpr::rdx); },
+       on(Gpr::rdx, 0)},
+      {"add_ri", [](Assembler& a, Label) { a.add(Gpr::rcx, -5); }},
+      {"sub_ri", [](Assembler& a, Label) { a.sub(Gpr::rcx, 9); }},
+      {"cmp_ri", [](Assembler& a, Label) { a.cmp(Gpr::rcx, 0x1003); }},
+      {"cmp_rr", [](Assembler& a, Label) { a.cmp(Gpr::rcx, Gpr::rdx); }},
+      {"xor_rr", [](Assembler& a, Label) { a.xor_(Gpr::rcx, Gpr::rdx); }},
+      {"xmov_xi", [](Assembler& a, Label) { a.xmov(3, 0xABCD); }},
+      {"xmov_xr", [](Assembler& a, Label) { a.xmov_from_gpr(4, Gpr::rcx); }},
+      {"xmov_rx", [](Assembler& a, Label) { a.xmov_to_gpr(Gpr::rcx, 5); }},
+      {"xzero", [](Assembler& a, Label) { a.xzero(2); }},
+      {"ymov_hi", [](Assembler& a, Label) { a.ymov_hi(7, Gpr::rcx); }},
+      {"ymov_rd_hi", [](Assembler& a, Label) { a.ymov_rd_hi(Gpr::rcx, 1); }},
+      {"fld", [](Assembler& a, Label) { a.fld(0x4010'0000'0000'0000ULL); }},
+      {"fstp", [](Assembler& a, Label) { a.fstp(Gpr::rcx); }},
+      {"faddp", [](Assembler& a, Label) { a.faddp(); }},
+      {"rdgs", [](Assembler& a, Label) { a.rdgs(Gpr::rcx); }},
+      {"wrgs", [](Assembler& a, Label) { a.wrgs(Gpr::rcx); }},
+      {"hostcall", [](Assembler& a, Label) { a.hostcall(3); }},
+  };
+  // Conditional branches, taken and not taken.
+  for (const bool taken : {true, false}) {
+    const std::string suffix = taken ? "_taken" : "_not_taken";
+    cases.push_back({"jz" + suffix, [](Assembler& a, Label t) { a.jz(t); },
+                     flags(taken, false, false)});
+    cases.push_back({"jnz" + suffix, [](Assembler& a, Label t) { a.jnz(t); },
+                     flags(!taken, false, false)});
+    cases.push_back({"jlt" + suffix, [](Assembler& a, Label t) { a.jlt(t); },
+                     flags(false, taken, false)});
+    cases.push_back({"jgt" + suffix, [](Assembler& a, Label t) { a.jgt(t); },
+                     flags(false, false, taken)});
+  }
+  // Register-based loads and stores: rbx points at data, r9 at nothing,
+  // r12 into the (read-only) code page, rsi into the RWX page.
+  struct MemBase {
+    const char* name;
+    Gpr base;
+  };
+  constexpr MemBase kLoadBases[] = {{"", Gpr::rbx}, {"_unmapped", Gpr::r9}};
+  constexpr MemBase kStoreBases[] = {{"", Gpr::rbx},
+                                     {"_unmapped", Gpr::r9},
+                                     {"_exec_page", Gpr::r12},
+                                     {"_wx_page", Gpr::rsi}};
+  for (const MemBase& b : kLoadBases) {
+    const Gpr base = b.base;
+    cases.push_back({std::string("load") + b.name,
+                     [base](Assembler& a, Label) { a.load(Gpr::rcx, base, 8); }});
+    cases.push_back({std::string("load8") + b.name,
+                     [base](Assembler& a, Label) { a.load8(Gpr::rcx, base, 9); }});
+    cases.push_back({std::string("xload") + b.name,
+                     [base](Assembler& a, Label) { a.xload(6, base, 16); }});
+  }
+  for (const MemBase& b : kStoreBases) {
+    const Gpr base = b.base;
+    cases.push_back({std::string("store") + b.name,
+                     [base](Assembler& a, Label) { a.store(base, 24, Gpr::rcx); }});
+    cases.push_back({std::string("store8") + b.name,
+                     [base](Assembler& a, Label) { a.store8(base, 25, Gpr::rcx); }});
+    cases.push_back({std::string("xstore") + b.name,
+                     [base](Assembler& a, Label) { a.xstore(base, 32, 6); }});
+  }
+  // %gs-relative forms: the same four targets through gs_base, the first
+  // two of them for loads.
+  const std::pair<const char*, std::uint64_t> kGsBases[] = {
+      {"", kDataBase + 0x100},
+      {"_unmapped", kUnmapped},
+      {"_exec_page", kCodeBase + 0x200},
+      {"_wx_page", kWxBase + 0x40}};
+  for (std::size_t i = 0; i < std::size(kGsBases); ++i) {
+    const auto& [suffix, gs] = kGsBases[i];
+    if (i < 2) {
+      cases.push_back({std::string("load_gs") + suffix,
+                       [](Assembler& a, Label) { a.load_gs(Gpr::rcx, 8); }, gs_at(gs)});
+      cases.push_back({std::string("load_gs8") + suffix,
+                       [](Assembler& a, Label) { a.load_gs8(Gpr::rcx, 9); }, gs_at(gs)});
+    }
+    cases.push_back({std::string("store_gs") + suffix,
+                     [](Assembler& a, Label) { a.store_gs(16, Gpr::rcx); }, gs_at(gs)});
+    cases.push_back({std::string("store_gs8") + suffix,
+                     [](Assembler& a, Label) { a.store_gs8(17, Gpr::rcx); }, gs_at(gs)});
+  }
+  return cases;
+}
+
+// The address space and context an OpCase runs from; built twice per run so
+// both engines start from identical state.
+struct OpState {
+  mem::AddressSpace as;
+  cpu::CpuContext ctx;
+  cpu::DataTlb tlb;
+  cpu::BlockCache cache;
+  isa::Op op = isa::Op::kNop;  // the opcode under test
+};
+
+void build_op_state(const OpCase& c, bool lead_nop, OpState& s) {
+  Assembler a;
+  const Assembler::Label target = a.new_label();
+  if (lead_nop) a.nop();
+  c.emit(a, target);
+  a.add(Gpr::rcx, 1);  // reached only when the instruction falls through
+  a.hlt();
+  a.bind(target);
+  a.hlt();
+  const auto code = a.finish().value();
+  const std::size_t at = lead_nop ? 1 : 0;
+  s.op = isa::decode({code.data() + at, code.size() - at}).value().op;
+
+  ASSERT_TRUE(s.as.map(kCodeBase, mem::kPageSize,
+                       mem::kProtRead | mem::kProtExec, true)
+                  .is_ok());
+  ASSERT_TRUE(s.as.write_force(kCodeBase, code).is_ok());
+  std::vector<std::uint8_t> pattern(mem::kPageSize);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  constexpr std::uint8_t kRw = mem::kProtRead | mem::kProtWrite;
+  for (const auto& [base, prot] :
+       {std::pair{kDataBase, kRw}, std::pair{kStackBase, kRw},
+        std::pair{kWxBase, static_cast<std::uint8_t>(kRw | mem::kProtExec)}}) {
+    ASSERT_TRUE(s.as.map(base, mem::kPageSize, prot, true).is_ok());
+    ASSERT_TRUE(s.as.write_force(base, pattern).is_ok());
+  }
+
+  for (std::size_t i = 0; i < isa::kNumGprs; ++i) {
+    s.ctx.gpr[i] = 0x1000 + 0x111 * i;
+  }
+  s.ctx.set_reg(Gpr::rax, kCodeBase + 0x300);  // call rax target
+  s.ctx.set_reg(Gpr::rdi, kCodeBase + 0x340);  // jmp reg target
+  s.ctx.set_reg(Gpr::rdx, 3);
+  s.ctx.set_reg(Gpr::rbx, kDataBase + 0x40);
+  s.ctx.set_reg(Gpr::rsi, kWxBase + 0x10);
+  s.ctx.set_reg(Gpr::r9, kUnmapped);
+  s.ctx.set_reg(Gpr::r12, kCodeBase + 0x200);
+  s.ctx.set_rsp(kStackBase + 0x800);
+  s.ctx.gs_base = kDataBase + 0x100;
+  for (std::uint8_t x = 0; x < isa::kNumXmm; ++x) {
+    s.ctx.xstate.xmm[x] = {0x10ULL * x + 1, 0x10ULL * x + 2};
+    s.ctx.xstate.ymm_hi[x] = {0x20ULL * x + 3, 0x20ULL * x + 4};
+  }
+  s.ctx.xstate.x87_push(0x3FF8'0000'0000'0000ULL);  // 1.5
+  s.ctx.xstate.x87_push(0x4002'0000'0000'0000ULL);  // 2.25
+  s.ctx.rip = kCodeBase;
+  c.setup(s.ctx);
+}
+
+struct OpOutcome {
+  cpu::ExecKind kind = cpu::ExecKind::kContinue;
+  std::uint32_t executed = 0;
+  std::uint32_t retired = 0;
+  std::uint32_t nops = 0;
+  mem::MemFault fault{};
+};
+
+// The reference: cpu::step() one instruction at a time over the block's
+// instructions, under the block contract (stop at the budget, the first
+// non-continue outcome, or a store that moved the code generation).
+OpOutcome step_reference(OpState& s, std::uint64_t budget, std::size_t size) {
+  OpOutcome out;
+  const std::uint64_t code_gen = s.as.code_gen();
+  while (out.executed < std::min<std::uint64_t>(budget, size)) {
+    const cpu::ExecResult r = cpu::step(s.ctx, s.as, nullptr, &s.tlb);
+    ++out.executed;
+    out.kind = r.kind;
+    if (r.kind == cpu::ExecKind::kContinue || r.kind == cpu::ExecKind::kSyscall) {
+      ++out.retired;
+      if (r.insn->op == isa::Op::kNop) ++out.nops;
+    }
+    if (r.kind == cpu::ExecKind::kMemFault) out.fault = r.fault;
+    if (r.kind != cpu::ExecKind::kContinue || s.as.code_gen() != code_gen) break;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> snapshot(const mem::AddressSpace& as) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t base : {kCodeBase, kDataBase, kStackBase, kWxBase}) {
+    std::vector<std::uint8_t> page(mem::kPageSize);
+    EXPECT_TRUE(as.read_force(base, page).is_ok());
+    bytes.insert(bytes.end(), page.begin(), page.end());
+  }
+  return bytes;
+}
+
+TEST(BlockExecOpTest, EveryOpcodeMatchesStepAtEveryBudget) {
+  std::set<isa::Op> covered;
+  std::set<cpu::ExecKind> kinds;
+  for (const OpCase& c : op_cases()) {
+    for (const bool lead_nop : {false, true}) {
+      for (const std::uint64_t budget : std::initializer_list<std::uint64_t>{0, 1, 2, 64}) {
+        SCOPED_TRACE(c.name + (lead_nop ? " after a nop" : "") + ", budget " +
+                     std::to_string(budget));
+        OpState ref;
+        OpState blk;
+        build_op_state(c, lead_nop, ref);
+        build_op_state(c, lead_nop, blk);
+        ASSERT_FALSE(HasFatalFailure());
+
+        const cpu::DecodedBlock* block =
+            blk.cache.lookup_or_build(blk.as, kCodeBase);
+        ASSERT_NE(block, nullptr);
+        covered.insert(blk.op);
+        EXPECT_EQ(block->lead_nops,
+                  (lead_nop ? 1u : 0u) + (blk.op == isa::Op::kNop ? 1u : 0u));
+
+        const OpOutcome want = step_reference(ref, budget, block->size());
+        const cpu::BlockRun got =
+            cpu::run_block(blk.ctx, blk.as, *block, budget, &blk.tlb);
+        kinds.insert(got.kind);
+
+        EXPECT_EQ(got.kind, want.kind);
+        EXPECT_EQ(got.executed, want.executed);
+        EXPECT_EQ(got.retired, want.retired);
+        EXPECT_EQ(got.nops, want.nops);
+        if (want.kind == cpu::ExecKind::kMemFault) {
+          EXPECT_EQ(got.fault.address, want.fault.address);
+          EXPECT_EQ(got.fault.kind, want.fault.kind);
+          EXPECT_EQ(got.fault.unmapped, want.fault.unmapped);
+        }
+        EXPECT_TRUE(blk.ctx == ref.ctx)
+            << "rip " << blk.ctx.rip << " vs " << ref.ctx.rip;
+        EXPECT_TRUE(snapshot(blk.as) == snapshot(ref.as));
+        EXPECT_EQ(blk.as.code_gen(), ref.as.code_gen());
+      }
+    }
+  }
+  EXPECT_EQ(covered.size(), isa::kNumOps);
+  // Every exit a block can take was exercised (kInvalidOpcode cannot occur:
+  // blocks hold only decoded instructions).
+  for (const cpu::ExecKind kind :
+       {cpu::ExecKind::kContinue, cpu::ExecKind::kSyscall, cpu::ExecKind::kHlt,
+        cpu::ExecKind::kTrap, cpu::ExecKind::kMemFault,
+        cpu::ExecKind::kHostCall, cpu::ExecKind::kDivideError}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << static_cast<int>(kind);
+  }
 }
 
 // --- the retired-only counter contract (satellite regression) ---------------
@@ -564,11 +912,12 @@ TEST(BlockExecSmpTest, FourCpuShootdownDuringBatchedExecution) {
   }
 }
 
-// --- the nop-sled superop ----------------------------------------------------
+// --- the leading-nop fold on the sled ----------------------------------------
 
 TEST(BlockExecSuperopTest, NopSledSlicesMatchReferencePath) {
-  // block_step retires a block of nops only in O(1) when the slice budget
-  // covers it, and hands a budget that ends inside it to run_block. Drive a
+  // run_block folds a block's leading nops in O(1), as far as the slice
+  // budget reaches: all of a sled block when the budget covers it, and its
+  // first `budget` nops when the budget ends inside it. Drive a
   // zpoline and a lazypoline getpid loop (rax = 39 lands ~470 nops before
   // the sled's end) slice by slice with an uneven budget sequence, and
   // check after every slice that the engine agrees with the reference path
@@ -606,7 +955,7 @@ TEST(BlockExecSuperopTest, NopSledSlicesMatchReferencePath) {
     make_lane(ref, false, zpoline);
 
     // Classifies each slice that starts on a block of nops only: either the
-    // budget covers the block (superop) or it ends inside it (run_block).
+    // budget covers the block or it ends inside it.
     cpu::BlockCache probe;
     std::uint64_t superop_slices = 0;
     std::uint64_t cut_slices = 0;
@@ -615,8 +964,8 @@ TEST(BlockExecSuperopTest, NopSledSlicesMatchReferencePath) {
       const std::uint64_t budget = kBudgets[i % std::size(kBudgets)];
       if (const cpu::DecodedBlock* head =
               probe.lookup_or_build(*block.task->mem, block.task->ctx.rip);
-          head != nullptr && head->nops == head->insns.size()) {
-        if (budget >= head->insns.size()) {
+          head != nullptr && head->insns.empty()) {
+        if (budget >= head->size()) {
           ++superop_slices;
         } else {
           ++cut_slices;

@@ -565,7 +565,7 @@ TEST(ReplaySchedule, MultiTaskScheduleIsReplayed) {
 
 // The recorded 64-step slices cut the ~470-nop stretch of the VA-0 sled that
 // a getpid/gettid call slides down, so replaying them stops the engine inside
-// blocks of nops only, where the O(1) nop superop must not run.
+// blocks of nops only, where the leading-nop fold must stop at the budget.
 TEST(ReplaySchedule, SlicesEndingInsideTheNopSledAreReplayed) {
   for (const Mech mech : {Mech::kZpoline, Mech::kLazypoline}) {
     on_both_engines(mech, [mech](bool block_on, RoundTrip* out) {
